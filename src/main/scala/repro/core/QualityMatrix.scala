@@ -1,97 +1,66 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.workload.{ConfigProfile, Workload}
 
 /** Spark job computing the per-(segment, config) quality and cost matrices.
   *
-  * This is the data-parallel heart of the reproduction: the cross of a
-  * multi-day segments DataFrame with the (small) configurations DataFrame,
-  * evaluated with the workload's columnar quality/cost model, then pivoted
-  * back into driver-side arrays for the sequential control loop.
+  * This is the data-parallel heart of the reproduction: one narrow pass over
+  * a multi-day segments DataFrame that evaluates the workload's columnar
+  * quality/cost model for every configuration at once — the (small)
+  * configuration set is a driver-side constant, so each channel is a K-wide
+  * array column — collected straight into driver-side arrays for the
+  * sequential control loop.
   */
 object QualityMatrix {
 
-  /** Configs as a small DataFrame (id, unitCost, cap, rhoEff per regime).
-    * ρ·affinity is precomputed per (config, regime) on the driver so the
-    * columnar quality matches the scalar model bit-for-bit.
-    */
-  def configsDf(w: Workload, spark: SparkSession, configs: Seq[ConfigProfile]): DataFrame = {
-    import spark.implicits._
-    configs.map { p =>
-      val cap = if (p.streamCap.isInfinity) 1e9 else p.streamCap
-      val rhoEff = (0 until w.NRegimes).map(r => p.rho * w.affinity(p.cfg, r))
-      (p.id.toLong, p.unitCost, cap, rhoEff)
-    }.toDF("cfgId", "unitCost", "cap", "rhoEff")
-  }
-
-  /** Long-form (segId, cfgId, qual, costSeg) DataFrame over segments×configs. */
-  def longForm(w: Workload, segments: DataFrame, configs: Seq[ConfigProfile]): DataFrame = {
-    val spark = segments.sparkSession
-    val cfgs  = configsDf(w, spark, configs)
-    val joined = segments.crossJoin(cfgs)
-    val rhoEff = element_at(col("rhoEff"), col("regime") + 1)
-    joined.select(
-      col("segId"), col("cfgId"),
-      w.qualCol(col("segId"), col("cfgId"), rhoEff, col("cap"),
-                col("difficulty"), col("load"))                as "qual",
-      (w.costCol(col("unitCost"), col("cap"), col("load")) * w.segSec) as "costSeg",
-      w.reportedCol(col("segId"), col("cfgId"), rhoEff, col("cap"),
-                    col("difficulty"), col("load"))            as "report",
-    )
-  }
-
   /** Build the full [[SegmentTrace]] for `days` days of workload `w`,
     * restricted to configuration set `configs` (usually the filtered Pareto
-    * set, plus whatever the caller needs).
+    * set, plus whatever the caller needs). Column k of every matrix is
+    * `configs(k)`.
     */
   def trace(spark: SparkSession, w: Workload, days: Int,
             configs: Vector[ConfigProfile], seed: Long = 7): SegmentTrace = {
-    val segments = w.stream(spark, days, seed).cache()
-    try {
-      val idToPos = configs.map(_.id).zipWithIndex.toMap
-      val k = configs.length
+    import spark.implicits._
+    val (segId, difficulty, load) = (col("segId"), col("difficulty"), col("load"))
 
-      // Wide pivot: one row per segment, arrays of quality/cost in cfg order.
-      val lf = longForm(w, segments, configs)
-      val wide = lf
-        .groupBy("segId")
-        .agg(
-          sort_array(collect_list(struct(col("cfgId"), col("qual"), col("costSeg"),
-                                         col("report")))) as "percfg"
-        )
-        .join(segments.select("segId", "day", "regime", "difficulty", "load"), "segId")
-        .orderBy("segId")
+    // One K-wide array per channel; entry k has config k's id, cap and unit
+    // cost as literals. ρ·affinity is precomputed per (config, regime) on the
+    // driver, so the columnar quality matches the scalar model bit for bit.
+    def perConfig(f: (ConfigProfile, Column, Column, Column) => Column): Column =
+      array(configs.map { p =>
+        val cap = lit(if (p.streamCap.isInfinity) 1e9 else p.streamCap)
+        val rhoByRegime = (0 until w.NRegimes).map(r => lit(p.rho * w.affinity(p.cfg, r)))
+        val rhoEff = element_at(array(rhoByRegime: _*), col("regime") + 1)
+        f(p, lit(p.id.toLong), rhoEff, cap)
+      }: _*)
 
-      val rows = wide.collect()
-      val n = rows.length
-      val day  = Array.ofDim[Int](n)
-      val reg  = Array.ofDim[Int](n)
-      val diff = Array.ofDim[Double](n)
-      val load = Array.ofDim[Double](n)
-      val qual = Array.ofDim[Double](n, k)
-      val cost = Array.ofDim[Double](n, k)
-      val rept = Array.ofDim[Double](n, k)
+    val rows = w.stream(spark, days, seed)
+      .select(segId, col("day"), col("regime"), difficulty, load,
+        perConfig((_, id, rho, cap) => w.qualCol(segId, id, rho, cap, difficulty, load)),
+        perConfig((p, _, _, cap) => w.costCol(lit(p.unitCost), cap, load) * w.segSec),
+        perConfig((_, id, rho, cap) => w.reportedCol(segId, id, rho, cap, difficulty, load)))
+      .as[(Long, Int, Int, Double, Double, Array[Double], Array[Double], Array[Double])]
+      .collect()
 
-      var i = 0
-      while (i < n) {
-        val r = rows(i)
-        val segId = r.getAs[Long]("segId").toInt
-        day(segId)  = r.getAs[Int]("day")
-        reg(segId)  = r.getAs[Int]("regime")
-        diff(segId) = r.getAs[Double]("difficulty")
-        load(segId) = r.getAs[Double]("load")
-        val percfg = r.getAs[scala.collection.Seq[Row]]("percfg")
-        percfg.foreach { pr =>
-          val pos = idToPos(pr.getAs[Long]("cfgId").toInt)
-          qual(segId)(pos) = pr.getAs[Double]("qual")
-          cost(segId)(pos) = pr.getAs[Double]("costSeg")
-          rept(segId)(pos) = pr.getAs[Double]("report")
-        }
-        i += 1
-      }
-      SegmentTrace(w.segSec, day, reg, diff, load, configs, qual, cost, rept)
-    } finally segments.unpersist()
+    val n = rows.length
+    val day  = Array.ofDim[Int](n)
+    val reg  = Array.ofDim[Int](n)
+    val diff = Array.ofDim[Double](n)
+    val ld   = Array.ofDim[Double](n)
+    val qual = Array.ofDim[Array[Double]](n)
+    val cost = Array.ofDim[Array[Double]](n)
+    val rept = Array.ofDim[Array[Double]](n)
+    val seen = new java.util.BitSet(n)
+    for ((id, d, r, df, l, q, c, rp) <- rows) {
+      require(id >= 0 && id < n && !seen.get(id.toInt),
+        s"QualityMatrix.trace: segment ids must be exactly 0 until $n; got $id")
+      val i = id.toInt
+      seen.set(i)
+      day(i) = d; reg(i) = r; diff(i) = df; ld(i) = l
+      qual(i) = q; cost(i) = c; rept(i) = rp
+    }
+    SegmentTrace(w.segSec, day, reg, diff, ld, configs, qual, cost, rept)
   }
 }

@@ -46,18 +46,25 @@ final class StreamingIngest(model: SkyscraperModel, plan: KnobPlan) {
     StructField("load", DoubleType),
   ))
 
+  /** Transform and Load one micro-batch. The batch is persisted so its file
+    * is read once, not once per action (emptiness check, detections write,
+    * reported-quality aggregate).
+    */
   def processBatch(batch: DataFrame, outputDir: String): Unit = {
-    if (batch.isEmpty) return
-    val cfgIdx = switcher.choose(LocalProbe).cfgIdx
-    chosenLog += cfgIdx
-    val p = model.configs(cfgIdx)
-    val sampleEvery = StreamingIngest.sampleEveryOf(p)
-    val (det, _, qual) =
-      VetlPipeline.runConfig(batch.sparkSession, model.workload, batch, p, sampleEvery)
-    det.withColumn("cfgId", lit(p.id))
-      .write.mode("append").parquet(outputDir)
-    val meanQ = qual.agg(avg("quality")).collect()(0).getDouble(0)
-    switcher.observe(cfgIdx, meanQ)
+    batch.persist()
+    try {
+      if (batch.isEmpty) return
+      val cfgIdx = switcher.choose(LocalProbe).cfgIdx
+      chosenLog += cfgIdx
+      val p = model.configs(cfgIdx)
+      val sampleEvery = StreamingIngest.sampleEveryOf(p)
+      val (det, _, qual) =
+        VetlPipeline.runConfig(batch.sparkSession, model.workload, batch, p, sampleEvery)
+      det.withColumn("cfgId", lit(p.id))
+        .write.mode("append").parquet(outputDir)
+      val meanQ = qual.agg(avg("quality")).collect()(0).getDouble(0)
+      switcher.observe(cfgIdx, meanQ)
+    } finally batch.unpersist()
   }
 
   /** Start the file-source streaming query; one file per trigger so every

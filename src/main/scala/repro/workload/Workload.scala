@@ -163,10 +163,9 @@ trait Workload {
     coverage * greatest(lit(0.0), least(lit(1.0), q))
   }
 
-  /** Columnar quality; `rho`,`cap`,`cfgId` are columns of a configs DF
-    * cross-joined with the segments DF; `rhoEff` must already incorporate
-    * the regime affinity (ρ·affinity, selected per row by
-    * [[repro.core.QualityMatrix]]).
+  /** Columnar quality; `cfgId`,`cap` are the config's literals and `rhoEff`
+    * must already incorporate the regime affinity (ρ·affinity, selected per
+    * row by [[repro.core.QualityMatrix]]).
     */
   final def qualCol(segId: Column, cfgId: Column, rhoEff: Column, cap: Column,
                     difficulty: Column, load: Column): Column = {

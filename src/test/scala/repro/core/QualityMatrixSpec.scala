@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.workload.{Covid, MoseiHigh}
+import repro.workload.{Covid, MoseiHigh, Mot, Workload}
 
 class QualityMatrixSpec extends SparkSpec {
 
@@ -15,15 +17,46 @@ class QualityMatrixSpec extends SparkSpec {
     assert(trace.cost.length == trace.nSegments)
   }
 
-  test("trace values match the scalar workload model") {
-    val idxs = Seq(0, 1000, 20000, trace.nSegments - 1)
-    for (i <- idxs; k <- configs.indices) {
-      val p = configs(k)
-      val expQ = Covid.quality(p, i.toLong, trace.difficulty(i), trace.load(i))
-      val expC = Covid.costPerSec(p, trace.load(i)) * Covid.segSec
-      assert(math.abs(trace.qual(i)(k) - expQ) < 1e-9, s"qual seg=$i k=$k")
-      assert(math.abs(trace.cost(i)(k) - expC) < 1e-9, s"cost seg=$i k=$k")
+  /** Every (segment, config) cell of all three channels against the scalar
+    * model, with the segment's own regime selecting ρ·affinity.
+    */
+  private def assertMatchesScalar(w: Workload, t: SegmentTrace): Unit = {
+    def near(got: Double, exp: Double, what: => String): Unit =
+      if (!(math.abs(got - exp) < 1e-9)) fail(s"${w.name} $what: $got != $exp")
+    for (i <- 0 until t.nSegments; k <- t.configs.indices) {
+      val p = t.configs(k)
+      val (d, l, r) = (t.difficulty(i), t.load(i), t.regime(i))
+      near(t.qual(i)(k), w.quality(p, i.toLong, d, l, r), s"qual seg=$i k=$k")
+      near(t.cost(i)(k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
+      near(t.report(i)(k), w.reported(p, i.toLong, d, l, r), s"report seg=$i k=$k")
     }
+  }
+
+  test("trace values match the scalar workload model") {
+    assert(trace.regime.distinct.length == Covid.NRegimes)
+    assertMatchesScalar(Covid, trace)
+    val motCfgs = Mot.profiles.sortBy(_.unitCost).grouped(8).map(_.head).toVector
+    val mot = QualityMatrix.trace(spark, Mot, 1, motCfgs)
+    assert(mot.regime.distinct.length == Mot.NRegimes)
+    assertMatchesScalar(Mot, mot)
+  }
+
+  test("columns follow the order configs are passed in") {
+    val rev = QualityMatrix.trace(spark, Covid, 1, configs.reverse)
+    assert(rev.configs == configs.reverse)
+    def reversed(m: Array[Array[Double]]) = m.map(_.reverse.toSeq).toSeq
+    assert(rev.qual.map(_.toSeq).toSeq == reversed(trace.qual))
+    assert(rev.cost.map(_.toSeq).toSeq == reversed(trace.cost))
+    assert(rev.report.map(_.toSeq).toSeq == reversed(trace.report))
+  }
+
+  test("a stream whose segment ids are not dense fails loudly") {
+    val gappy = new Covid {
+      override def stream(spark: SparkSession, days: Int, seed: Long): DataFrame =
+        super.stream(spark, days, seed).where(col("segId") =!= 5L)
+    }
+    val e = intercept[IllegalArgumentException](QualityMatrix.trace(spark, gappy, 1, configs.take(1)))
+    assert(e.getMessage.contains("segment ids must be exactly 0 until"))
   }
 
   test("day index is ordered and dayStart finds boundaries") {
