@@ -11,7 +11,8 @@ import repro.workload.{ConfigProfile, Workload}
   * quality/cost model for every configuration at once — the (small)
   * configuration set is a driver-side constant, so each channel is a K-wide
   * array column — collected straight into driver-side arrays for the
-  * sequential control loop.
+  * sequential control loop. Consecutive bit-identical cost rows share one
+  * array, so the rows of the returned trace are read-only.
   */
 object QualityMatrix {
 
@@ -61,6 +62,11 @@ object QualityMatrix {
       day(i) = d; reg(i) = r; diff(i) = df; ld(i) = l
       qual(i) = q; cost(i) = c; rept(i) = rp
     }
+    // The cost law has no per-segment term, so a cost row repeats whenever
+    // load repeats (always, on a single stream): one array serves each run
+    // of bit-identical rows. qual and report carry per-segment noise.
+    for (i <- 1 until n if java.util.Arrays.equals(cost(i), cost(i - 1)))
+      cost(i) = cost(i - 1)
     SegmentTrace(w.segSec, day, reg, diff, ld, configs, qual, cost, rept)
   }
 }

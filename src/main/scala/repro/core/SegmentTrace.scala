@@ -9,6 +9,11 @@ import repro.workload.ConfigProfile
   * baselines) consume this; the data-parallel computation that fills it runs
   * on Spark.
   *
+  * Matrix rows are read-only: one row array may be shared by many segments
+  * (`QualityMatrix.trace` shares bit-identical cost rows, and `slice` keeps
+  * the sharing), so a write into `cost(s)` would change every segment that
+  * shares it.
+  *
   * @param segSec     segment length in seconds
   * @param day        day index per segment
   * @param regime     latent content regime per segment (ground truth, used

@@ -137,9 +137,9 @@ object Experiments {
     val ((trainCats, forecaster), tData) = timed {
       val kMinus = Vector(k.head)
       val full = QualityMatrix.trace(spark, w, trD, kMinus, hyper.seed)
-      // classify by the cheapest config's quality (Appendix H)
+      // classify by the cheapest config's reported quality (Appendix H, Eq. 5)
       val catsArr = Array.tabulate(full.nSegments)(i =>
-        cats.classifyOnline(0, full.qual(i)(0)))
+        cats.classifyOnline(0, full.report(i)(0)))
       val f = new Forecaster(hyper.forecast, cats.n, w.segSec, hyper.seed)
       (catsArr, f)
     }

@@ -59,6 +59,34 @@ class QualityMatrixSpec extends SparkSpec {
     assert(e.getMessage.contains("segment ids must be exactly 0 until"))
   }
 
+  test("a stream with a repeated segment id fails loudly") {
+    val repeated = new Covid {
+      override def stream(spark: SparkSession, days: Int, seed: Long): DataFrame = {
+        val s = super.stream(spark, days, seed)
+        s.union(s.where(col("segId") === 5L))
+      }
+    }
+    val e = intercept[IllegalArgumentException](QualityMatrix.trace(spark, repeated, 1, configs.take(1)))
+    assert(e.getMessage.contains("segment ids must be exactly 0 until"))
+    assert(e.getMessage.endsWith("got 5"))
+  }
+
+  /** Consecutive cost rows share one array exactly when they are bit-identical. */
+  private def assertCostRowsShared(t: SegmentTrace): Unit =
+    for (i <- 1 until t.nSegments) {
+      val same = java.util.Arrays.equals(t.cost(i), t.cost(i - 1))
+      assert((t.cost(i) eq t.cost(i - 1)) == same, s"seg=$i equal=$same")
+    }
+
+  test("a single stream's cost rows are one shared array, also after slice") {
+    assert(trace.load.forall(_ == 1.0))
+    assert(trace.cost.forall(_ eq trace.cost(0)))
+    val s = trace.slice(100, 200)
+    assert(s.cost.forall(_ eq trace.cost(0)))
+    assert(trace.qual(1) ne trace.qual(0))
+    assert(trace.report(1) ne trace.report(0))
+  }
+
   test("day index is ordered and dayStart finds boundaries") {
     assert(trace.day.head == 0)
     assert(trace.dayStart(0) == 0)
@@ -92,5 +120,10 @@ class QualityMatrixSpec extends SparkSpec {
     val i = t.load.indexWhere(_ > 20)
     assert(i >= 0)
     assert(math.abs(t.cost(i)(0) - cfgs(0).unitCost * 16.0 * MoseiHigh.segSec) < 1e-9)
+    assertMatchesScalar(MoseiHigh, t)
+    assertCostRowsShared(t)
+    val shared = (1 until t.nSegments).count(j => t.cost(j) eq t.cost(j - 1))
+    info(f"MOSEI-HIGH: $shared of ${t.nSegments} segments share the previous cost row " +
+      f"(${100.0 * shared / t.nSegments}%.1f%%)")
   }
 }

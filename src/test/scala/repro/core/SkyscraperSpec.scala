@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.baselines.{Optimum, StaticBaseline}
+import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
 import repro.workload.Covid
 
 /** End-to-end integration: offline fit + simulated online ingestion on a
@@ -107,5 +107,27 @@ class SkyscraperSpec extends SparkSpec {
   test("switcher chooses multiple configurations (content adaptivity)") {
     val r = run(4)
     assert(r.chosen.distinct.length >= 2)
+  }
+
+  test("offline fit, online loop and baselines leave every trace cell unchanged") {
+    // Trace rows are read-only and cost rows are shared between segments
+    // (and between train and test), so one write would change many cells.
+    assert(train.cost(0) eq test.cost(0))
+    def channels(t: SegmentTrace) =
+      Seq("qual" -> t.qual, "cost" -> t.cost, "report" -> t.report)
+    val copies = Seq(train, test).map(channels(_).map(_._2.map(_.clone())))
+
+    Skyscraper.fitFromTrace(Covid, model.configs, train, hyper)
+    run(4, cloud = 2.0)
+    val (br, cb, up) = (Covid.bitrateBytesPerSec, Covid.cloudBytesPerSec, Covid.uplinkBytesPerSec)
+    StaticBaseline.run(test, 4, 4e9, br, cb, up)
+    ChameleonStar.run(test, 4, 4e9, br, cb, up)
+    VideoStormStar.run(test, 4, 4e9, br, cb, up)
+    Optimum.assign(test, 4.0 * test.nSegments * test.segSec)
+
+    for ((t, copy) <- Seq(train, test).zip(copies);
+         ((ch, m), m0) <- channels(t).zip(copy);
+         i <- m.indices)
+      assert(java.util.Arrays.equals(m(i), m0(i)), s"$ch row $i (day ${t.day(i)}) changed")
   }
 }
