@@ -10,7 +10,7 @@ import repro.util.KMeansLocal
   * category c is its KMeans center: the expected reported quality of every
   * config k on content of that category. The application-quality centers
   * q̂(k, c) the planner optimizes are computed separately per category
-  * (`Skyscraper.qualByCategory`).
+  * (`Skyscraper.meanByCategory`).
   */
 final case class ContentCategories(model: KMeansLocal.Model, discriminatorDim: Int) {
   /** Number of categories |C|. */
@@ -31,9 +31,9 @@ final case class ContentCategories(model: KMeansLocal.Model, discriminatorDim: I
 
 object ContentCategories {
 
-  /** Fit categories on a sample of the training trace's quality vectors.
+  /** Fit categories on a sample of the training trace's report vectors.
     *
-    * @param trace        training trace (qual matrix over the filtered K)
+    * @param trace        training trace (report matrix over the filtered K)
     * @param nCategories  k of KMeans
     * @param sampleFrac   fraction of training segments to cluster on (paper
     *                     default: 5% of the unlabeled data)

@@ -27,51 +27,16 @@ final case class KnobPlan(alpha: Array[Array[Double]]) {
   */
 object KnobPlanner {
 
-  /** @param qualHat   q̂(c)(k): category cluster centers (expected quality)
+  /** The one-stream case of [[planJoint]].
+    * @param qualHat   q̂(c)(k): category cluster centers (expected quality)
     * @param costHat   ĉ(c)(k): expected core·s per segment
     * @param r         forecasted category frequencies (Σ r = 1)
     * @param budgetPerSeg  core·s available per segment on average over the
     *                      planned interval (on-prem capacity + cloud credits)
     */
   def plan(qualHat: Array[Array[Double]], costHat: Array[Array[Double]],
-           r: Array[Double], budgetPerSeg: Double): KnobPlan = {
-    val nC = qualHat.length
-    val nK = qualHat(0).length
-    val nVars = nC * nK
-    def idx(c: Int, k: Int): Int = c * nK + k
-
-    val obj = Array.ofDim[Double](nVars)
-    for (c <- 0 until nC; k <- 0 until nK) obj(idx(c, k)) = r(c) * qualHat(c)(k)
-
-    val budgetRow = Array.ofDim[Double](nVars)
-    for (c <- 0 until nC; k <- 0 until nK) budgetRow(idx(c, k)) = r(c) * costHat(c)(k)
-
-    val cons = scala.collection.mutable.ArrayBuffer[Constraint]()
-    cons += Constraint(budgetRow, Le, budgetPerSeg)
-    for (c <- 0 until nC) {
-      val row = Array.ofDim[Double](nVars)
-      for (k <- 0 until nK) row(idx(c, k)) = 1.0
-      cons += Constraint(row, Eq, 1.0)
-    }
-
-    val res = Simplex.maximize(obj, cons.toSeq)
-    res.status match {
-      case Simplex.Optimal =>
-        val alpha = Array.tabulate(nC, nK)((c, k) => math.max(0.0, res.x(idx(c, k))))
-        // Guard against numerical drift: renormalize each category row.
-        for (c <- 0 until nC) {
-          val s = alpha(c).sum
-          if (s > 1e-9) for (k <- 0 until nK) alpha(c)(k) /= s
-          else alpha(c)(cheapestIdx(costHat(c))) = 1.0
-        }
-        KnobPlan(alpha)
-      case _ =>
-        // Degenerate budget (below even the cheapest plan): fall back to the
-        // cheapest config for every category — the throughput guarantee wins.
-        KnobPlan(Array.tabulate(nC, nK)((c, k) =>
-          if (k == cheapestIdx(costHat(c))) 1.0 else 0.0))
-    }
-  }
+           r: Array[Double], budgetPerSeg: Double): KnobPlan =
+    planJoint(Seq(StreamPlanInput(qualHat, costHat, r)), budgetPerSeg).head
 
   private def cheapestIdx(costs: Array[Double]): Int = costs.indices.minBy(costs(_))
 
@@ -100,21 +65,20 @@ object KnobPlanner {
       obj(idx(v, c, k)) = s.r(c) * s.qualHat(c)(k)
       budgetRow(idx(v, c, k)) = s.r(c) * s.costHat(c)(k)
     }
-    val cons = scala.collection.mutable.ArrayBuffer[Constraint]()
-    cons += Constraint(budgetRow, Le, budgetPerSeg)
-    for (v <- streams.indices; c <- streams(v).qualHat.indices) {
+    val normRows = for (v <- streams.indices; c <- streams(v).qualHat.indices) yield {
       val row = Array.ofDim[Double](nVars)
       for (k <- streams(v).qualHat(0).indices) row(idx(v, c, k)) = 1.0
-      cons += Constraint(row, Eq, 1.0)
+      Constraint(row, Eq, 1.0)
     }
 
-    val res = Simplex.maximize(obj, cons.toSeq)
+    val res = Simplex.maximize(obj, Constraint(budgetRow, Le, budgetPerSeg) +: normRows)
     streams.indices.map { v =>
       val s = streams(v)
       val nC = s.qualHat.length; val nK = s.qualHat(0).length
       res.status match {
         case Simplex.Optimal =>
           val alpha = Array.tabulate(nC, nK)((c, k) => math.max(0.0, res.x(idx(v, c, k))))
+          // Guard against numerical drift: renormalize each category row.
           for (c <- 0 until nC) {
             val sum = alpha(c).sum
             if (sum > 1e-9) for (k <- 0 until nK) alpha(c)(k) /= sum
@@ -122,6 +86,7 @@ object KnobPlanner {
           }
           KnobPlan(alpha)
         case _ =>
+          // Infeasible budget: cheapest config everywhere (throughput wins).
           KnobPlan(Array.tabulate(nC, nK)((c, k) =>
             if (k == cheapestIdx(s.costHat(c))) 1.0 else 0.0))
       }

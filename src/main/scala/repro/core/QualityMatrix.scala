@@ -8,11 +8,12 @@ import repro.workload.{ConfigProfile, Workload}
   *
   * This is the data-parallel heart of the reproduction: one narrow pass over
   * a multi-day segments DataFrame that evaluates the workload's columnar
-  * quality/cost model for every configuration at once — the (small)
+  * reported-quality/cost model for every configuration at once — the (small)
   * configuration set is a driver-side constant, so each channel is a K-wide
   * array column — collected straight into driver-side arrays for the
-  * sequential control loop. Consecutive bit-identical cost rows share one
-  * array, so the rows of the returned trace are read-only.
+  * sequential control loop; qual = weight(d)·report is derived on the driver.
+  * Consecutive bit-identical cost rows share one array, so the rows of the
+  * returned trace are read-only.
   */
 object QualityMatrix {
 
@@ -28,7 +29,7 @@ object QualityMatrix {
 
     // One K-wide array per channel; entry k has config k's id, cap and unit
     // cost as literals. ρ·affinity is precomputed per (config, regime) on the
-    // driver, so the columnar quality matches the scalar model bit for bit.
+    // driver; the columnar report matches the scalar one within 1e-9 (a few ulp).
     def perConfig(f: (ConfigProfile, Column, Column, Column) => Column): Column =
       array(configs.map { p =>
         val cap = lit(if (p.streamCap.isInfinity) 1e9 else p.streamCap)
@@ -37,13 +38,20 @@ object QualityMatrix {
         f(p, lit(p.id.toLong), rhoEff, cap)
       }: _*)
 
-    val rows = w.stream(spark, days, seed)
+    // Whole-stage codegen inlines all K laws into one method (9,916 bytes of
+    // bytecode at K = 11). Past HotSpot's 8000-byte JIT limit it would run
+    // interpreted, 2-3x slower; with this limit Spark falls back to its
+    // per-expression projection, which splits the laws into small methods.
+    val hugeMethodLimit = "spark.sql.codegen.hugeMethodLimit"
+    val priorLimit = spark.conf.get(hugeMethodLimit)
+    spark.conf.set(hugeMethodLimit, 8000L)
+    val rows = try w.stream(spark, days, seed)
       .select(segId, col("day"), col("regime"), difficulty, load,
-        perConfig((_, id, rho, cap) => w.qualCol(segId, id, rho, cap, difficulty, load)),
         perConfig((p, _, _, cap) => w.costCol(lit(p.unitCost), cap, load) * w.segSec),
         perConfig((_, id, rho, cap) => w.reportedCol(segId, id, rho, cap, difficulty, load)))
-      .as[(Long, Int, Int, Double, Double, Array[Double], Array[Double], Array[Double])]
+      .as[(Long, Int, Int, Double, Double, Array[Double], Array[Double])]
       .collect()
+    finally spark.conf.set(hugeMethodLimit, priorLimit)
 
     val n = rows.length
     val day  = Array.ofDim[Int](n)
@@ -54,13 +62,22 @@ object QualityMatrix {
     val cost = Array.ofDim[Array[Double]](n)
     val rept = Array.ofDim[Array[Double]](n)
     val seen = new java.util.BitSet(n)
-    for ((id, d, r, df, l, q, c, rp) <- rows) {
+    for ((id, d, r, df, l, c, rp) <- rows) {
       require(id >= 0 && id < n && !seen.get(id.toInt),
         s"QualityMatrix.trace: segment ids must be exactly 0 until $n; got $id")
       val i = id.toInt
       seen.set(i)
       day(i) = d; reg(i) = r; diff(i) = df; ld(i) = l
-      qual(i) = q; cost(i) = c; rept(i) = rp
+      cost(i) = c; rept(i) = rp
+    }
+    // qual = weight(d)·report (Workload.quality), one primitive loop per row.
+    var j = 0
+    while (j < n) {
+      val wt = w.qualityWeight(diff(j)); val rp = rept(j)
+      val q = new Array[Double](rp.length)
+      var k = 0
+      while (k < q.length) { q(k) = wt * rp(k); k += 1 }
+      qual(j) = q; j += 1
     }
     // The cost law has no per-segment term, so a cost row repeats whenever
     // load repeats (always, on a single stream): one array serves each run

@@ -114,7 +114,7 @@ object Skyscraper {
   final class OnlineController(model: SkyscraperModel, cores: Int, nSegs: Int,
                                cloudBudget: Double, cloudPricePerCoreSec: Double,
                                useCloud: Boolean) extends Controller {
-    private val segSec      = segLenOf(model)
+    private val segSec      = model.workload.segSec
     private val horizonSegs =
       math.max(1, (model.hyper.forecast.horizonDays * 86400.0 / segSec).toInt)
     private val placements =
@@ -156,8 +156,6 @@ object Skyscraper {
 
   /** q̂(c)(k): the per-category expected application quality. */
   def qualHat(model: SkyscraperModel): Array[Array[Double]] = model.qualHat
-
-  private def segLenOf(model: SkyscraperModel): Double = model.workload.segSec
 
   /** Simulate Skyscraper ingesting `test` on `cores` with the given buffer
     * and cloud budget. `useBuffer=false` shrinks the buffer to one segment

@@ -1,7 +1,5 @@
 package repro.workload
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
 import repro.video.StreamSpec
 
 /** COVID-19 safety-measures workload (paper §5.2, Appendix J).
@@ -69,8 +67,6 @@ class Covid extends Workload {
   override val sevPow   = 1.0
 
   override def qualityWeight(d: Double): Double = 0.05 + 0.95 * math.pow(d, 2.0)
-  override def qualityWeightCol(d: Column): Column =
-    lit(0.05) + lit(0.95) * pow(d, lit(2.0))
 
   val segSec    = 2.0
   val trainDays = 16

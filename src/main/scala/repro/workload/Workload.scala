@@ -13,10 +13,11 @@ import repro.video.{StreamSpec, VideoSynth}
   *
   * {{{
   *   ρ_eff(k, s)    = ρ_k · affinity(k, regime_s)
-  *   coverage(k, s) = min(streamCap_k, load_s) / load_s
-  *   qual(k, s)     = weight(d_s) · coverage ·
+  *   coverage(k, s) = min(streamCap_k, load_s) / max(load_s, 1)
+  *   report(k, s)   = coverage ·
   *                    clamp(exp(−(1−ρ_eff) · sevScale · d_s^sevPow)
   *                          + noiseAmp·(u(s,k) − 0.5), 0, 1)
+  *   qual(k, s)     = weight(d_s) · report(k, s)
   * }}}
   *
   * `affinity(k, regime)` captures that content *types* need config *types*,
@@ -41,8 +42,8 @@ import repro.video.{StreamSpec, VideoSynth}
   * where ρ_k is the configuration's robustness and d_s the segment's latent
   * difficulty. Expensive configs (ρ→1) stay accurate on hard content; cheap
   * configs degrade — exactly the trade-off Skyscraper exploits (paper §1,
-  * Fig. 3). The per-(segment, config) noise term uses the deterministic hash
-  * so Spark and driver-side evaluations agree bit-for-bit.
+  * Fig. 3). The noise term uses the deterministic hash, so Spark and the
+  * driver agree within 1e-9 (a few ulp: Spark's `exp` is `StrictMath.exp`).
   */
 trait Workload {
   def name: String
@@ -70,9 +71,6 @@ trait Workload {
     * multi-stream workloads carry their mass in `load` instead.
     */
   def qualityWeight(difficulty: Double): Double = 1.0
-
-  /** Columnar twin of [[qualityWeight]]; override together. */
-  def qualityWeightCol(difficulty: Column): Column = lit(1.0)
 
   /** Piecewise-linear robustness shaping: maps a raw knob score onto [0,1]
     * with a calibrated active band [lo, hi] and curvature `gamma`. Scores
@@ -120,16 +118,10 @@ trait Workload {
 
   // ---- shared quality/cost model, scalar and columnar -----------------
 
-  /** Scalar quality of config on a segment (driver-side twin of qualCol). */
+  /** Application quality: the reported quality weighted by content mass. */
   final def quality(p: ConfigProfile, segId: Long, difficulty: Double, load: Double,
-                    regime: Int = 0): Double = {
-    val coverage = math.min(p.streamCap, load) / math.max(load, 1.0)
-    val u = DetHash.uniform(segId, p.cfg.id.toLong + 101, 17L)
-    val rhoEff = p.rho * affinity(p.cfg, regime)
-    val q = math.exp(-(1.0 - rhoEff) * sevScale * math.pow(difficulty, sevPow)) +
-      noiseAmp * (u - 0.5)
-    qualityWeight(difficulty) * coverage * math.max(0.0, math.min(1.0, q))
-  }
+                    regime: Int = 0): Double =
+    qualityWeight(difficulty) * reported(p, segId, difficulty, load, regime)
 
   /** Scalar cost (core·s) to process ONE video-second of a segment. */
   final def costPerSec(p: ConfigProfile, load: Double): Double =
@@ -153,7 +145,7 @@ trait Workload {
     coverage * math.max(0.0, math.min(1.0, q))
   }
 
-  /** Columnar twin of [[reported]] (same contract as [[qualCol]]). */
+  /** Columnar twin of [[reported]]; `rhoEff` must already include the affinity. */
   final def reportedCol(segId: Column, cfgId: Column, rhoEff: Column, cap: Column,
                         difficulty: Column, load: Column): Column = {
     val coverage = least(cap, load) / greatest(load, lit(1.0))
@@ -161,19 +153,6 @@ trait Workload {
     val q = exp(-(lit(1.0) - rhoEff) * lit(sevScale) * pow(difficulty, lit(sevPow))) +
       lit(noiseAmp) * (u - lit(0.5))
     coverage * greatest(lit(0.0), least(lit(1.0), q))
-  }
-
-  /** Columnar quality; `cfgId`,`cap` are the config's literals and `rhoEff`
-    * must already incorporate the regime affinity (ρ·affinity, selected per
-    * row by [[repro.core.QualityMatrix]]).
-    */
-  final def qualCol(segId: Column, cfgId: Column, rhoEff: Column, cap: Column,
-                    difficulty: Column, load: Column): Column = {
-    val coverage = least(cap, load) / greatest(load, lit(1.0))
-    val u = DetHash.uniformCol(segId, cfgId + lit(101L), lit(17L))
-    val q = exp(-(lit(1.0) - rhoEff) * lit(sevScale) * pow(difficulty, lit(sevPow))) +
-      lit(noiseAmp) * (u - lit(0.5))
-    qualityWeightCol(difficulty) * coverage * greatest(lit(0.0), least(lit(1.0), q))
   }
 
   /** Columnar per-video-second cost. */

@@ -87,4 +87,29 @@ class KnobPlannerSpec extends AnyFunSuite {
     // quality gain → cat 0 gets the upgrade first.
     assert(p.alpha(0)(1) > p.alpha(1)(1))
   }
+
+  test("plans are exact at pinned budgets") {
+    // Recorded alphas: the infeasible fallback (0.01), interior optima and
+    // the per-category (MOSEI-style) costs, compared bit for bit.
+    val pinned = Seq(
+      0.01 -> Array(Array(1.0, 0.0, 0.0), Array(1.0, 0.0, 0.0)),
+      0.5  -> Array(Array(1.0, 0.0, 0.0), Array(0.5789473684210527, 0.4210526315789474, 0.0)),
+      3.0  -> Array(Array(1.0, 0.0, 0.0), Array(0.0, 0.5125, 0.4875000000000001)),
+      5.05 -> Array(Array(1.0, 0.0, 0.0), Array(0.0, 1.1102230246251565e-16, 0.9999999999999999)),
+      8.0  -> Array(Array(0.0, 0.5, 0.5), Array(0.0, 0.0, 1.0)))
+    for ((budget, alpha) <- pinned) {
+      val got = KnobPlanner.plan(qualHat, costHat, r, budget).alpha
+      assert(got.map(_.toSeq).toSeq == alpha.map(_.toSeq).toSeq, s"budget=$budget")
+    }
+
+    val q = Array(Array(0.5, 0.9), Array(0.5, 0.9))
+    val c = Array(Array(0.1, 1.0), Array(0.1, 10.0))
+    val perCategory = Seq(
+      1.0 -> Array(Array(0.0, 1.0), Array(0.9090909090909092, 0.09090909090909088)),
+      3.0 -> Array(Array(0.0, 1.0), Array(0.505050505050505, 0.494949494949495)))
+    for ((budget, alpha) <- perCategory) {
+      val got = KnobPlanner.plan(q, c, Array(0.5, 0.5), budget).alpha
+      assert(got.map(_.toSeq).toSeq == alpha.map(_.toSeq).toSeq, s"per-category budget=$budget")
+    }
+  }
 }

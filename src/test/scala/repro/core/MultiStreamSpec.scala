@@ -15,16 +15,6 @@ class MultiStreamSpec extends AnyFunSuite {
   private def jointCost(plans: Seq[KnobPlan], streams: Seq[StreamPlanInput]): Double =
     plans.zip(streams).map { case (p, s) => KnobPlanner.expectedCost(p, s.costHat, s.r) }.sum
 
-  test("single-stream joint plan matches the single-stream planner") {
-    for (budget <- Seq(0.5, 3.0, 8.0)) {
-      val single = KnobPlanner.plan(qual, cost, r, budget)
-      val joint  = KnobPlanner.planJoint(Seq(stream), budget).head
-      val qs = KnobPlanner.expectedQuality(single, qual, r)
-      val qj = KnobPlanner.expectedQuality(joint, qual, r)
-      assert(math.abs(qs - qj) < 1e-7, s"budget=$budget single=$qs joint=$qj")
-    }
-  }
-
   test("joint plans respect the shared budget") {
     val streams = Seq(stream, stream, stream)
     for (budget <- Seq(0.5, 3.0, 10.0, 40.0)) {

@@ -41,6 +41,14 @@ class QualityMatrixSpec extends SparkSpec {
     assertMatchesScalar(Mot, mot)
   }
 
+  test("trace leaves the session's codegen limit as it found it") {
+    val key = "spark.sql.codegen.hugeMethodLimit"
+    spark.conf.set(key, 60000L)
+    QualityMatrix.trace(spark, Covid, 1, configs.take(1))
+    assert(spark.conf.get(key) == "60000")
+    spark.conf.unset(key)
+  }
+
   test("columns follow the order configs are passed in") {
     val rev = QualityMatrix.trace(spark, Covid, 1, configs.reverse)
     assert(rev.configs == configs.reverse)

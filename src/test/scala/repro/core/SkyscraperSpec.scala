@@ -2,10 +2,11 @@ package repro.core
 
 import repro.SparkSpec
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
-import repro.workload.Covid
+import repro.workload.{Covid, Mot, Workload}
 
 /** End-to-end integration: offline fit + simulated online ingestion on a
-  * short COVID-style stream (2 train days, 1 test day).
+  * short COVID-style stream (2 train days, 1 test day), plus pinned digests
+  * of a 4+2-day COVID and MOT run.
   */
 class SkyscraperSpec extends SparkSpec {
 
@@ -129,5 +130,58 @@ class SkyscraperSpec extends SparkSpec {
          ((ch, m), m0) <- channels(t).zip(copy);
          i <- m.indices)
       assert(java.util.Arrays.equals(m(i), m0(i)), s"$ch row $i (day ${t.day(i)}) changed")
+  }
+
+  test("offline fit, plans and online loop reproduce the pinned digests") {
+    // A change meant to keep every output must reproduce these values; an
+    // intended behaviour change updates them and says so in CHANGES.md.
+    val pinned = Map("COVID" -> "4deadbd36899a705", "MOT" -> "4e1933d1d0d30505")
+    val got = Seq[Workload](Covid, Mot).map { w =>
+      val (m, tr, te) = Skyscraper.fitAndTrace(spark, w, SkyscraperSpec.digestHyper,
+                                               trainDays = 4, testDays = 2)
+      w.name -> SkyscraperSpec.digest(m, tr, te)
+    }.toMap
+    assert(got == pinned)
+  }
+}
+
+object SkyscraperSpec {
+
+  /** `Experiments.hyperFor` at `REPRO_SCALE=0.25`, spelled out so the pinned
+    * digests do not depend on the environment.
+    */
+  val digestHyper: Hyper = Hyper(nCategories = 5,
+    forecast = ForecastSpec(inputDays = 0.5, nSplits = 8, horizonDays = 0.5, sampleEveryMin = 15),
+    categorySampleFrac = 0.05, nSearch = 4, preSampleSize = 2000, seed = 7)
+
+  /** Order-sensitive 64-bit digest of the bits of every value fed to it. */
+  private final class Digest {
+    private var h = 0xcbf29ce484222325L
+    def long(v: Long): Unit = { h = (h ^ v) * 0x100000001b3L; h ^= h >>> 29 }
+    def ints(a: Array[Int]): Unit = a.foreach(v => long(v.toLong))
+    def doubles(a: Array[Double]): Unit = a.foreach(v => long(java.lang.Double.doubleToLongBits(v)))
+    def hex: String = f"$h%016x"
+  }
+
+  /** Digest of K, every trace channel, ĉ/q̂, the forecast, `KnobPlanner.plan`
+    * at a few budgets and `Skyscraper.run` on 4 and 16 cores.
+    */
+  def digest(m: SkyscraperModel, train: SegmentTrace, test: SegmentTrace): String = {
+    val d = new Digest
+    m.configs.foreach(c => d.long(c.id.toLong))
+    for (t <- Seq(train, test); ch <- Seq(t.qual, t.cost, t.report)) ch.foreach(d.doubles)
+    d.ints(m.trainCats)
+    m.costHat.foreach(d.doubles)
+    m.qualHat.foreach(d.doubles)
+    val r = m.forecaster.predict(m.trainCats, m.trainCats.length)
+    d.doubles(r)
+    for (budget <- Seq(0.01, 4 * train.segSec, 16 * train.segSec, 60 * train.segSec))
+      KnobPlanner.plan(m.qualHat, m.costHat, r, budget).alpha.foreach(d.doubles)
+    for (cores <- Seq(4, 16)) {
+      val res = Skyscraper.run(m, test, cores, cloudBudget = 1.0)
+      d.doubles(Array(res.totalQuality, res.qualityPct, res.cloudDollars))
+      d.ints(res.chosen)
+    }
+    d.hex
   }
 }
