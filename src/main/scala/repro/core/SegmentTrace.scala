@@ -6,8 +6,9 @@ import repro.workload.ConfigProfile
   * config) quality and cost matrices, produced by [[QualityMatrix]].
   *
   * All control-loop components (offline fit, planner, switcher, simulator,
-  * baselines) consume this; the data-parallel computation that fills it runs
-  * on Spark.
+  * baselines) consume this. Spark synthesizes the stream; the matrices are
+  * filled on the driver by the workload's scalar law, so every cell equals
+  * `Workload.quality`/`reported`/`costPerSec` bit for bit.
   *
   * Matrix rows are read-only: one row array may be shared by many segments
   * (`QualityMatrix.trace` shares bit-identical cost rows, and `slice` keeps

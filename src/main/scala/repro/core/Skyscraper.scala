@@ -40,13 +40,17 @@ object Skyscraper {
     val trD = if (trainDays > 0) trainDays else w.trainDays
     val teD = if (testDays > 0) testDays else w.testDays
 
-    // 1. Filter knob configurations on a content-diverse pre-sample.
-    val pre = preSample(spark, w, trD, hyper.preSampleSize, hyper.seed)
-    val k   = Pareto.filterConfigs(w, pre, hyper.nSearch, hyper.maxK)
+    // 1. Filter knob configurations on a content-diverse pre-sample of the
+    //    training stream: the training prefix of the one train+test read
+    //    where that prefix is the training stream, else a read of its own.
+    val segs = QualityMatrix.segments(spark, w, trD + teD, hyper.seed)
+    val pre =
+      if (prefixIsStream(w, trD, trD + teD, hyper.seed)) preSample(w, segs, trD, hyper.preSampleSize)
+      else preSample(spark, w, trD, hyper.preSampleSize, hyper.seed)
+    val k = Pareto.filterConfigs(w, pre, hyper.nSearch, hyper.maxK)
 
-    // 2. One quality/cost matrix over train+test for the filtered K (the
-    //    data-parallel Spark pass).
-    val full = QualityMatrix.trace(spark, w, trD + teD, k, hyper.seed)
+    // 2. One quality/cost matrix over train+test for the filtered K.
+    val full = QualityMatrix.trace(w, segs, k)
     val split = full.dayStart(trD)
     val train = full.slice(0, split)
     val test  = full.slice(split, full.nSegments)
@@ -68,20 +72,24 @@ object Skyscraper {
     SkyscraperModel(w, k, cats, forecaster, trainCats, costHat, qualHat, hyper)
   }
 
-  /** Diverse pre-sample of segments for the config filter (Appendix A.1). */
+  /** Whether the `totalDays`-day stream's first `days` days are the `days`-day
+    * stream; not on MOSEI-LONG, whose plateau moves with the stream's end.
+    */
+  def prefixIsStream(w: Workload, days: Int, totalDays: Int, seed: Long): Boolean =
+    w.streamSpec(days, seed) == w.streamSpec(totalDays, seed).copy(days = days)
+
+  /** Diverse pre-sample of segments for the config filter (Appendix A.1):
+    * every stride-th segment of the first `days` days of the stream.
+    */
   def preSample(spark: SparkSession, w: Workload, days: Int, size: Int,
-                seed: Long): Seq[Pareto.Seg] = {
-    val segs  = w.stream(spark, days, seed)
-    val total = days.toLong * 86400L / w.segSec.toLong
-    val stride = math.max(1L, total / size)
-    segs.filter(org.apache.spark.sql.functions.pmod(
-        org.apache.spark.sql.functions.col("segId"),
-        org.apache.spark.sql.functions.lit(stride)) === 0L)
-      .select("segId", "difficulty", "load", "regime")
-      .collect()
-      .map(r => Pareto.Seg(r.getAs[Long]("segId"), r.getAs[Double]("difficulty"),
-                           r.getAs[Double]("load"), r.getAs[Int]("regime")))
-      .toSeq
+                seed: Long): Seq[Pareto.Seg] =
+    preSample(w, QualityMatrix.segments(spark, w, days, seed), days, size)
+
+  /** The same stride pick over the first `days` days of collected columns. */
+  def preSample(w: Workload, segs: QualityMatrix.Segments, days: Int, size: Int): Seq[Pareto.Seg] = {
+    val total = days * 86400 / w.segSec.toInt
+    (0 until math.min(total, segs.n) by math.max(1, total / size))
+      .map(i => Pareto.Seg(i, segs.difficulty(i), segs.load(i), segs.regime(i)))
   }
 
   /** Per-category column means of a (segment × config) matrix — yields

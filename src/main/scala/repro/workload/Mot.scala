@@ -27,6 +27,7 @@ class Mot extends Workload {
 
   private val cBase      = 0.13
   private val modelMult  = Array(1.0, 2.5, 6.0)
+  private val crowdModel = Array(0.0, 0.6, 1.0) // model size's share of crowd affinity
 
   def unitCost(cfg: KnobConfig): Double = {
     val fps = cfg(0); val tiles = cfg(1); val hist = cfg(2); val model = cfg(3).toInt
@@ -54,7 +55,7 @@ class Mot extends Workload {
     regime match {
       case 2 => (0.50 + 0.50 * math.pow(fps / 30.0, 0.5)) *
                 (0.90 + 0.10 * hist / 5.0)
-      case 3 => (0.55 + 0.45 * Array(0.0, 0.6, 1.0)(model)) *
+      case 3 => (0.55 + 0.45 * crowdModel(model)) *
                 (if (tiles >= 4) 1.0 else 0.80)
       case _ => 1.0
     }

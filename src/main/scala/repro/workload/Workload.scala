@@ -1,7 +1,6 @@
 package repro.workload
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.DetHash
 import repro.video.{StreamSpec, VideoSynth}
 
@@ -42,8 +41,9 @@ import repro.video.{StreamSpec, VideoSynth}
   * where ρ_k is the configuration's robustness and d_s the segment's latent
   * difficulty. Expensive configs (ρ→1) stay accurate on hard content; cheap
   * configs degrade — exactly the trade-off Skyscraper exploits (paper §1,
-  * Fig. 3). The noise term uses the deterministic hash, so Spark and the
-  * driver agree within 1e-9 (a few ulp: Spark's `exp` is `StrictMath.exp`).
+  * Fig. 3). The noise term uses the deterministic hash, so every cell is a
+  * pure function of (segment, config): [[reportedCell]] is the law's one body,
+  * and `QualityMatrix.trace` and [[quality]] both run it.
   */
 trait Workload {
   def name: String
@@ -116,7 +116,7 @@ trait Workload {
 
   final def profiles: Vector[ConfigProfile] = allConfigs.map(profile)
 
-  // ---- shared quality/cost model, scalar and columnar -----------------
+  // ---- shared quality/cost model ---------------------------------------
 
   /** Application quality: the reported quality weighted by content mass. */
   final def quality(p: ConfigProfile, segId: Long, difficulty: Double, load: Double,
@@ -136,26 +136,20 @@ trait Workload {
     * qualities for all knob configurations").
     */
   final def reported(p: ConfigProfile, segId: Long, difficulty: Double, load: Double,
-                     regime: Int = 0): Double = {
+                     regime: Int = 0): Double =
+    reportedCell(p, segId, p.rho * affinity(p.cfg, regime), StrictMath.pow(difficulty, sevPow), load)
+
+  /** The report law's one body, on one (segment, config) cell given
+    * `rhoEff` = ρ·affinity and `dPow` = d^sevPow, which a caller filling many
+    * cells computes once per (config, regime) and per segment. `StrictMath`:
+    * the JDK fixes its bits on every platform (as Spark's `exp`/`pow`), while
+    * `Math`'s JIT intrinsics may differ by a few ulp, which pinned digests see.
+    */
+  final def reportedCell(p: ConfigProfile, segId: Long, rhoEff: Double, dPow: Double,
+                         load: Double): Double = {
     val coverage = math.min(p.streamCap, load) / math.max(load, 1.0)
     val u = DetHash.uniform(segId, p.cfg.id.toLong + 101, 17L)
-    val rhoEff = p.rho * affinity(p.cfg, regime)
-    val q = math.exp(-(1.0 - rhoEff) * sevScale * math.pow(difficulty, sevPow)) +
-      noiseAmp * (u - 0.5)
+    val q = StrictMath.exp(-(1.0 - rhoEff) * sevScale * dPow) + noiseAmp * (u - 0.5)
     coverage * math.max(0.0, math.min(1.0, q))
   }
-
-  /** Columnar twin of [[reported]]; `rhoEff` must already include the affinity. */
-  final def reportedCol(segId: Column, cfgId: Column, rhoEff: Column, cap: Column,
-                        difficulty: Column, load: Column): Column = {
-    val coverage = least(cap, load) / greatest(load, lit(1.0))
-    val u = DetHash.uniformCol(segId, cfgId + lit(101L), lit(17L))
-    val q = exp(-(lit(1.0) - rhoEff) * lit(sevScale) * pow(difficulty, lit(sevPow))) +
-      lit(noiseAmp) * (u - lit(0.5))
-    coverage * greatest(lit(0.0), least(lit(1.0), q))
-  }
-
-  /** Columnar per-video-second cost. */
-  final def costCol(unitCost: Column, cap: Column, load: Column): Column =
-    unitCost * least(cap, load)
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.workload.{Covid, MoseiHigh, Mot, Workload}
+import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
 
 class QualityMatrixSpec extends SparkSpec {
 
@@ -17,18 +17,18 @@ class QualityMatrixSpec extends SparkSpec {
     assert(trace.cost.length == trace.nSegments)
   }
 
-  /** Every (segment, config) cell of all three channels against the scalar
-    * model, with the segment's own regime selecting ρ·affinity.
+  /** Every (segment, config) cell of all three channels equals the scalar
+    * model exactly, with the segment's own regime selecting ρ·affinity.
     */
   private def assertMatchesScalar(w: Workload, t: SegmentTrace): Unit = {
-    def near(got: Double, exp: Double, what: => String): Unit =
-      if (!(math.abs(got - exp) < 1e-9)) fail(s"${w.name} $what: $got != $exp")
+    def same(got: Double, exp: Double, what: => String): Unit =
+      if (got != exp) fail(s"${w.name} $what: $got != $exp")
     for (i <- 0 until t.nSegments; k <- t.configs.indices) {
       val p = t.configs(k)
       val (d, l, r) = (t.difficulty(i), t.load(i), t.regime(i))
-      near(t.qual(i)(k), w.quality(p, i.toLong, d, l, r), s"qual seg=$i k=$k")
-      near(t.cost(i)(k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
-      near(t.report(i)(k), w.reported(p, i.toLong, d, l, r), s"report seg=$i k=$k")
+      same(t.qual(i)(k), w.quality(p, i.toLong, d, l, r), s"qual seg=$i k=$k")
+      same(t.cost(i)(k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
+      same(t.report(i)(k), w.reported(p, i.toLong, d, l, r), s"report seg=$i k=$k")
     }
   }
 
@@ -39,14 +39,6 @@ class QualityMatrixSpec extends SparkSpec {
     val mot = QualityMatrix.trace(spark, Mot, 1, motCfgs)
     assert(mot.regime.distinct.length == Mot.NRegimes)
     assertMatchesScalar(Mot, mot)
-  }
-
-  test("trace leaves the session's codegen limit as it found it") {
-    val key = "spark.sql.codegen.hugeMethodLimit"
-    spark.conf.set(key, 60000L)
-    QualityMatrix.trace(spark, Covid, 1, configs.take(1))
-    assert(spark.conf.get(key) == "60000")
-    spark.conf.unset(key)
   }
 
   test("columns follow the order configs are passed in") {
@@ -133,5 +125,22 @@ class QualityMatrixSpec extends SparkSpec {
     val shared = (1 until t.nSegments).count(j => t.cost(j) eq t.cost(j - 1))
     info(f"MOSEI-HIGH: $shared of ${t.nSegments} segments share the previous cost row " +
       f"(${100.0 * shared / t.nSegments}%.1f%%)")
+  }
+
+  test("MOSEI traces reproduce the pinned digests") {
+    // Load != 1 and coverage < 1, which the COVID/MOT digests in
+    // SkyscraperSpec never reach; an intended behaviour change updates these.
+    val pinned = Map("MOSEI-HIGH" -> "c3590020d7391e20", "MOSEI-LONG" -> "c328c0018f823a1d")
+    val got = Seq[Workload](MoseiHigh, MoseiLong).map { w =>
+      val cfgs = w.profiles.sortBy(_.unitCost).grouped(w.profiles.length / 12).map(_.head).toVector
+      val t = QualityMatrix.trace(spark, w, 2, cfgs, seed = 7)
+      assert(t.load.max > cfgs.map(_.streamCap).min, s"${w.name}: no cell with coverage < 1")
+      val d = new SkyscraperSpec.Digest
+      cfgs.foreach(p => d.long(p.id.toLong))
+      d.ints(t.day); d.ints(t.regime); d.doubles(t.difficulty); d.doubles(t.load)
+      for (ch <- Seq(t.qual, t.cost, t.report)) ch.foreach(d.doubles)
+      w.name -> d.hex
+    }.toMap
+    assert(got == pinned)
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
-import repro.workload.{Covid, Mot, Workload}
+import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
 
 /** End-to-end integration: offline fit + simulated online ingestion on a
   * short COVID-style stream (2 train days, 1 test day), plus pinned digests
@@ -132,6 +132,24 @@ class SkyscraperSpec extends SparkSpec {
       assert(java.util.Arrays.equals(m(i), m0(i)), s"$ch row $i (day ${t.day(i)}) changed")
   }
 
+  test("the pre-sample is picked from the collected stream only where it equals the query's") {
+    for ((w, trD) <- Seq[(Workload, Int)]((Covid, 1), (Mot, 1), (MoseiHigh, 2))) {
+      assert(Skyscraper.prefixIsStream(w, trD, trD + 1, seed = 7), w.name)
+      val shared = Skyscraper.preSample(w, QualityMatrix.segments(spark, w, trD + 1, 7), trD, 500)
+      assert(shared == Skyscraper.preSample(spark, w, trD, 500, 7), w.name)
+    }
+    // MOSEI-LONG's plateau moves with the stream's length, so the 3-day
+    // stream's first 2 days are not the 2-day stream: fitAndTrace must take
+    // the separate query.
+    val w = MoseiLong
+    assert(!Skyscraper.prefixIsStream(w, 2, 3, seed = 7))
+    val pre = Skyscraper.preSample(spark, w, 2, 500, 7)
+    assert(Skyscraper.preSample(w, QualityMatrix.segments(spark, w, 3, 7), 2, 500) != pre)
+    val h = hyper.copy(preSampleSize = 500)
+    val (m, _, _) = Skyscraper.fitAndTrace(spark, w, h, trainDays = 2, testDays = 1)
+    assert(m.configs == Pareto.filterConfigs(w, pre, h.nSearch, h.maxK))
+  }
+
   test("offline fit, plans and online loop reproduce the pinned digests") {
     // A change meant to keep every output must reproduce these values; an
     // intended behaviour change updates them and says so in CHANGES.md.
@@ -155,7 +173,7 @@ object SkyscraperSpec {
     categorySampleFrac = 0.05, nSearch = 4, preSampleSize = 2000, seed = 7)
 
   /** Order-sensitive 64-bit digest of the bits of every value fed to it. */
-  private final class Digest {
+  private[core] final class Digest {
     private var h = 0xcbf29ce484222325L
     def long(v: Long): Unit = { h = (h ^ v) * 0x100000001b3L; h ^= h >>> 29 }
     def ints(a: Array[Int]): Unit = a.foreach(v => long(v.toLong))

@@ -1,9 +1,8 @@
 package repro.workload
 
-import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class WorkloadSpec extends SparkSpec {
+class WorkloadSpec extends AnyFunSuite {
 
   private val workloads = Seq(Covid, Mot, MoseiHigh, MoseiLong)
 
@@ -105,37 +104,5 @@ class WorkloadSpec extends SparkSpec {
     val p = w.profiles.find(_.streamCap == 8.0).get
     assert(w.costPerSec(p, 62.0) == p.unitCost * 8.0)
     assert(w.costPerSec(p, 4.0) == p.unitCost * 4.0)
-  }
-
-  test("columnar reported quality matches the scalar model within 1e-9") {
-    // Not bit for bit: Spark's exp is StrictMath.exp, the scalar law's is
-    // math.exp, and they differ by a few ulp on some cells.
-    for (w <- Seq[Workload](Covid, Mot, MoseiHigh)) {
-      val segs = w.stream(spark, 1).where(col("segId") % 997 === 0)
-      val p = w.profiles(w.profiles.length / 2)
-      val cap = if (p.streamCap.isInfinity) 1e9 else p.streamCap
-      val got = segs.select(
-        col("segId"), col("difficulty"), col("load"),
-        w.reportedCol(col("segId"), lit(p.id.toLong), lit(p.rho), lit(cap),
-                      col("difficulty"), col("load")) as "q").collect()
-      got.foreach { r =>
-        val expected = w.reported(p, r.getAs[Long]("segId"),
-          r.getAs[Double]("difficulty"), r.getAs[Double]("load"))
-        assert(math.abs(r.getAs[Double]("q") - expected) < 1e-9,
-          s"${w.name} seg ${r.getAs[Long]("segId")}")
-      }
-      assert(got.nonEmpty)
-    }
-  }
-
-  test("columnar cost matches the scalar model") {
-    val w = MoseiHigh
-    val p = w.profiles.find(_.streamCap == 16.0).get
-    val segs = w.stream(spark, 1).where(col("segId") % 1999 === 0)
-    val got = segs.select(col("load"),
-      w.costCol(lit(p.unitCost), lit(p.streamCap), col("load")) as "c").collect()
-    got.foreach { r =>
-      assert(math.abs(r.getAs[Double]("c") - w.costPerSec(p, r.getAs[Double]("load"))) < 1e-9)
-    }
   }
 }
