@@ -14,7 +14,7 @@ import repro.workload._
   */
 object JobSession {
   def spark(name: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions",

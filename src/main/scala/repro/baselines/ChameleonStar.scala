@@ -33,14 +33,14 @@ object ChameleonStar {
         // still lacks any actual throughput guarantee and can overflow.
         val p = segIdx - 1
         val deadline = headroom * cores * trace.segSec
-        val admissible = (0 until trace.nConfigs).filter(trace.cost(p)(_) <= deadline)
-        val extra = (0 until trace.nConfigs).map(trace.cost(p)(_)).sum
+        val admissible = (0 until trace.nConfigs).filter(trace.cost(p, _) <= deadline)
+        val extra = (0 until trace.nConfigs).map(trace.cost(p, _)).sum
         profilingWork += extra
-        val quals = admissible.map(trace.qual(p)(_))
+        val quals = admissible.map(trace.qual(p, _))
         val best  = quals.max
         current = admissible
-          .filter(k => trace.qual(p)(k) >= (1.0 - tolerance) * best)
-          .minBy(trace.cost(p)(_))
+          .filter(k => trace.qual(p, k) >= (1.0 - tolerance) * best)
+          .minBy(trace.cost(p, _))
         return Decision(current, Placement(0.0), extraLocalWork = extra)
       }
       Decision(current, Placement(0.0))
@@ -48,7 +48,7 @@ object ChameleonStar {
   }
 
   def cheapestOverall(trace: SegmentTrace): Int =
-    (0 until trace.nConfigs).minBy(k => trace.cost.iterator.map(_(k)).sum)
+    (0 until trace.nConfigs).minBy(k => Iterator.range(0, trace.nSegments).map(trace.cost(_, k)).sum)
 
   /** Simulate Chameleon* on `cores`. Default profiling period: 5 minutes,
     * tolerance 0.1 (accept configs within 10% quality of the profiled best).

@@ -25,17 +25,17 @@ object Optimum {
 
     // Per-segment Pareto frontiers (ascending cost, strictly ascending qual).
     val frontiers = Array.tabulate(n) { i =>
-      val byCost = (0 until trace.nConfigs).sortBy(trace.cost(i)(_))
+      val byCost = (0 until trace.nConfigs).sortBy(trace.cost(i, _))
       val f = scala.collection.mutable.ArrayBuffer[Int]()
       var bestQ = Double.NegativeInfinity
-      for (k <- byCost) if (trace.qual(i)(k) > bestQ + 1e-12) { f += k; bestQ = trace.qual(i)(k) }
+      for (k <- byCost) if (trace.qual(i, k) > bestQ + 1e-12) { f += k; bestQ = trace.qual(i, k) }
       f.toArray
     }
     val level = Array.fill(n)(0) // index into frontier
     for (i <- 0 until n) {
       chosen(i) = frontiers(i)(0)
-      work += trace.cost(i)(chosen(i))
-      quality += trace.qual(i)(chosen(i))
+      work += trace.cost(i, chosen(i))
+      quality += trace.qual(i, chosen(i))
     }
 
     // Upgrade steps ordered by efficiency. A heap keyed on the NEXT upgrade
@@ -50,8 +50,8 @@ object Optimum {
       val f = frontiers(i)
       val l = level(i)
       if (l + 1 < f.length) {
-        val dq = trace.qual(i)(f(l + 1)) - trace.qual(i)(f(l))
-        val dc = trace.cost(i)(f(l + 1)) - trace.cost(i)(f(l))
+        val dq = trace.qual(i, f(l + 1)) - trace.qual(i, f(l))
+        val dc = trace.cost(i, f(l + 1)) - trace.cost(i, f(l))
         heap += Step(i, l, dq, dc)
       }
     }

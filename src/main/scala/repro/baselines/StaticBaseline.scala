@@ -17,7 +17,7 @@ object StaticBaseline {
     val feasible = (0 until trace.nConfigs).filter { k =>
       var peak = 0.0
       var i = 0
-      while (i < n) { if (trace.cost(i)(k) > peak) peak = trace.cost(i)(k); i += 1 }
+      while (i < n) { if (trace.cost(i, k) > peak) peak = trace.cost(i, k); i += 1 }
       peak <= cores * trace.segSec + 1e-9
     }
     require(feasible.nonEmpty, s"no config runs in real time on $cores cores")
@@ -27,7 +27,7 @@ object StaticBaseline {
   def meanQuality(trace: SegmentTrace, k: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < trace.nSegments) { s += trace.qual(i)(k); i += 1 }
+    while (i < trace.nSegments) { s += trace.qual(i, k); i += 1 }
     s / trace.nSegments
   }
 

@@ -42,8 +42,8 @@ object ContentCategories {
           seed: Long = 11): ContentCategories = {
     val n = trace.nSegments
     val stride = math.max(1, (1.0 / math.max(sampleFrac, 1e-6)).toInt)
-    val offset = (seed % stride).toInt
-    val sample = (offset until n by stride).map(trace.report(_)).toVector
+    val offset = Math.floorMod(seed, stride.toLong).toInt
+    val sample = (offset until n by stride).map(trace.reportRow).toVector
     val model  = KMeansLocal.fit(sample, nCategories)
     ContentCategories(model, discriminatorDim(model))
   }
@@ -70,10 +70,10 @@ object ContentCategories {
     */
   def assignOnline(cats: ContentCategories, trace: SegmentTrace): Array[Int] = {
     val dim = cats.discriminatorDim
-    Array.tabulate(trace.nSegments)(i => cats.classifyOnline(dim, trace.report(i)(dim)))
+    Array.tabulate(trace.nSegments)(i => cats.classifyOnline(dim, trace.report(i, dim)))
   }
 
   /** Ground-truth assignment from full quality vectors (evaluation only). */
   def assignFull(cats: ContentCategories, trace: SegmentTrace): Array[Int] =
-    Array.tabulate(trace.nSegments)(i => cats.classifyFull(trace.report(i)))
+    Array.tabulate(trace.nSegments)(i => cats.classifyFull(trace.reportRow(i)))
 }

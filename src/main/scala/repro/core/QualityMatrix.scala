@@ -3,13 +3,16 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.workload.{ConfigProfile, Workload}
 
-/** The per-(segment, config) quality and cost matrices of a stream.
+/** The per-(segment, config) report and cost channels of a stream.
   *
   * One narrow Spark query collects the stream's columns ([[segments]]); the
-  * driver fills the K-wide rows with the workload's scalar law (a few tens of
-  * ns a cell) in a parallel loop over segments, qual = weight(d)·report. Each
-  * row is written by one task, so the result does not depend on scheduling.
-  * Consecutive bit-identical cost rows share one array, so rows are read-only.
+  * driver fills one flat n·K report array with the workload's scalar law (a
+  * few tens of ns a cell) and one weight per segment, in a parallel loop over
+  * segments. Each segment's cells are written by one task, so the result does
+  * not depend on scheduling. Quality is not stored: [[SegmentTrace]] computes
+  * qual = weight(d)·report on read. Consecutive bit-identical cost rows share
+  * one array, so every array of the trace is read-only. A trace holds
+  * K·8 + 8 bytes of report and weight per segment, plus its cost-row pointer.
   */
 object QualityMatrix {
 
@@ -44,7 +47,7 @@ object QualityMatrix {
 
   /** Build the full [[SegmentTrace]] for `days` days of workload `w`,
     * restricted to configuration set `configs` (usually the filtered Pareto
-    * set, plus whatever the caller needs). Column k of every matrix is
+    * set, plus whatever the caller needs). Config index k of every channel is
     * `configs(k)`.
     */
   def trace(spark: SparkSession, w: Workload, days: Int,
@@ -55,29 +58,27 @@ object QualityMatrix {
   def trace(w: Workload, segs: Segments, configs: Vector[ConfigProfile]): SegmentTrace = {
     val (n, nK) = (segs.n, configs.length)
     val rhoEff = Array.tabulate(w.NRegimes, nK)((r, k) => configs(k).rho * w.affinity(configs(k).cfg, r))
-    val qual = new Array[Array[Double]](n)
-    val rept = new Array[Array[Double]](n)
+    val weight = new Array[Double](n)
+    val report = new Array[Double](n * nK)
     java.util.stream.IntStream.range(0, n).parallel().forEach { i =>
       val d = segs.difficulty(i); val l = segs.load(i); val rho = rhoEff(segs.regime(i))
-      val wt = w.qualityWeight(d); val dPow = StrictMath.pow(d, w.sevPow)
-      val q = new Array[Double](nK); val rp = new Array[Double](nK)
+      weight(i) = w.qualityWeight(d)
+      val dPow = StrictMath.pow(d, w.sevPow)
       var k = 0
       while (k < nK) {
-        rp(k) = w.reportedCell(configs(k), i.toLong, rho(k), dPow, l)
-        q(k) = wt * rp(k)
+        report(i * nK + k) = w.reportedCell(configs(k), i.toLong, rho(k), dPow, l)
         k += 1
       }
-      qual(i) = q; rept(i) = rp
     }
     // The cost law has no per-segment term, so a cost row repeats whenever
     // load repeats (always, on a single stream): one array serves each run
-    // of bit-identical rows. qual and report carry per-segment noise.
+    // of bit-identical rows. The report carries per-segment noise.
     val cost = new Array[Array[Double]](n)
     for (i <- 0 until n) {
       val row = Array.tabulate(nK)(k => w.costPerSec(configs(k), segs.load(i)) * w.segSec)
       cost(i) = if (i > 0 && java.util.Arrays.equals(row, cost(i - 1))) cost(i - 1) else row
     }
     SegmentTrace(w.segSec, segs.day, segs.regime, segs.difficulty, segs.load, configs,
-                 qual, cost, rept)
+                 weight, report, cost)
   }
 }

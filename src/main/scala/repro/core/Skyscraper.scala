@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.functions.col
 import repro.sim._
 import repro.workload.{ConfigProfile, Workload}
 
@@ -65,8 +66,8 @@ object Skyscraper {
     val cats      = ContentCategories.fit(train, hyper.nCategories,
                                           hyper.categorySampleFrac, hyper.seed)
     val trainCats = ContentCategories.assignOnline(cats, train)
-    val costHat   = meanByCategory(train.cost, trainCats, cats.n, train)
-    val qualHat   = meanByCategory(train.qual, trainCats, cats.n, train)
+    val costHat   = meanByCategory(train.cost(_, _), trainCats, cats.n, train)
+    val qualHat   = meanByCategory(train.qual(_, _), trainCats, cats.n, train)
     val forecaster = new Forecaster(hyper.forecast, cats.n, train.segSec, hyper.seed)
     forecaster.fit(trainCats)
     SkyscraperModel(w, k, cats, forecaster, trainCats, costHat, qualHat, hyper)
@@ -79,41 +80,61 @@ object Skyscraper {
     w.streamSpec(days, seed) == w.streamSpec(totalDays, seed).copy(days = days)
 
   /** Diverse pre-sample of segments for the config filter (Appendix A.1):
-    * every stride-th segment of the first `days` days of the stream.
+    * every stride-th segment of the first `days` days of the stream. Only the
+    * picked segments are synthesized: the filter on `segId` sits below the
+    * synthesis in Spark's plan.
     */
   def preSample(spark: SparkSession, w: Workload, days: Int, size: Int,
-                seed: Long): Seq[Pareto.Seg] =
-    preSample(w, QualityMatrix.segments(spark, w, days, seed), days, size)
-
-  /** The same stride pick over the first `days` days of collected columns. */
-  def preSample(w: Workload, segs: QualityMatrix.Segments, days: Int, size: Int): Seq[Pareto.Seg] = {
-    val total = days * 86400 / w.segSec.toInt
-    (0 until math.min(total, segs.n) by math.max(1, total / size))
-      .map(i => Pareto.Seg(i, segs.difficulty(i), segs.load(i), segs.regime(i)))
+                seed: Long): Seq[Pareto.Seg] = {
+    import spark.implicits._
+    val ids = preSampleIds(w, days, size)
+    w.stream(spark, days, seed)
+      .where(col("segId") < ids.end.toLong && col("segId") % ids.step.toLong === 0L)
+      .select("segId", "difficulty", "load", "regime")
+      .as[(Long, Double, Double, Int)]
+      .collect().toSeq
+      .map { case (i, d, l, r) => Pareto.Seg(i, d, l, r) }
   }
 
-  /** Per-category column means of a (segment × config) matrix — yields
-    * ĉ(c)(k) from costs and q̂(c)(k) from qualities (paper §3.2's cluster
-    * centers, computed on the application-quality channel).
+  /** The same stride pick over the first `days` days of collected columns. */
+  def preSample(w: Workload, segs: QualityMatrix.Segments, days: Int, size: Int): Seq[Pareto.Seg] =
+    preSampleIds(w, days, size).takeWhile(_ < segs.n)
+      .map(i => Pareto.Seg(i, segs.difficulty(i), segs.load(i), segs.regime(i)))
+
+  /** The pre-sample's segment ids: about `size` of the first `days` days'. */
+  private def preSampleIds(w: Workload, days: Int, size: Int): Range = {
+    val total = days * 86400 / w.segSec.toInt
+    0 until total by math.max(1, total / size)
+  }
+
+  /** Per-category column means of a (segment × config) channel read by
+    * `cell(i, k)` — yields ĉ(c)(k) from costs and q̂(c)(k) from qualities
+    * (paper §3.2's cluster centers, computed on the application-quality
+    * channel).
     */
-  def meanByCategory(matrix: Array[Array[Double]], catOf: Array[Int], nCats: Int,
+  def meanByCategory(cell: (Int, Int) => Double, catOf: Array[Int], nCats: Int,
                      trace: SegmentTrace): Array[Array[Double]] = {
-    val nK = trace.nConfigs
+    val (n, nK) = (trace.nSegments, trace.nConfigs)
     val sums   = Array.ofDim[Double](nCats, nK)
     val counts = Array.ofDim[Double](nCats)
     var i = 0
-    while (i < trace.nSegments) {
+    while (i < n) {
       val c = catOf(i)
       var k = 0
-      while (k < nK) { sums(c)(k) += matrix(i)(k); k += 1 }
+      while (k < nK) { sums(c)(k) += cell(i, k); k += 1 }
       counts(c) += 1
       i += 1
     }
     Array.tabulate(nCats, nK) { (c, k) =>
       if (counts(c) > 0) sums(c)(k) / counts(c)
-      else matrix.iterator.map(_(k)).sum / trace.nSegments
+      else Iterator.range(0, n).map(cell(_, k)).sum / n
     }
   }
+
+  /** The same means over the rows of `matrix`. */
+  def meanByCategory(matrix: Array[Array[Double]], catOf: Array[Int], nCats: Int,
+                     trace: SegmentTrace): Array[Array[Double]] =
+    meanByCategory((i: Int, k: Int) => matrix(i)(k), catOf, nCats, trace)
 
   /** The online controller: periodic predictive planning + reactive
     * switching (paper §4). `useBuffer=false` / `useCloud=false` implement

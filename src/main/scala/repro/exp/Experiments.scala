@@ -139,7 +139,7 @@ object Experiments {
       val full = QualityMatrix.trace(spark, w, trD, kMinus, hyper.seed)
       // classify by the cheapest config's reported quality (Appendix H, Eq. 5)
       val catsArr = Array.tabulate(full.nSegments)(i =>
-        cats.classifyOnline(0, full.report(i)(0)))
+        cats.classifyOnline(0, full.report(i, 0)))
       val f = new Forecaster(hyper.forecast, cats.n, w.segSec, hyper.seed)
       (catsArr, f)
     }
@@ -251,8 +251,8 @@ object Experiments {
     val (model, _, test) = fitted(spark, w)
     val sky = Skyscraper.run(model, test, vCpus, BufferBytes, 0.0)
     val stIdx = StaticBaseline.bestRealTimeConfig(test, vCpus)
-    val stWork = test.cost.map(_(stIdx)).sum
-    val stQual = test.qual.map(_(stIdx)).sum / test.maxTotalQuality
+    val stWork = Iterator.range(0, test.nSegments).map(test.cost(_, stIdx)).sum
+    val stQual = Iterator.range(0, test.nSegments).map(test.qual(_, stIdx)).sum / test.maxTotalQuality
     val opt = Optimum.assign(test, sky.workCoreSec)
     Seq(
       WorkRow(w.name, "Static", stWork, stQual),
@@ -278,7 +278,7 @@ object Experiments {
     val typeA   = ContentCategories.assignOnline(cats, test)
     val lagged  = Array.tabulate(test.nSegments) { i =>
       val j = math.max(0, i - 1)
-      cats.classifyOnline(dim, test.report(j)(dim))
+      cats.classifyOnline(dim, test.report(j, dim))
     }
     def err(pred: Array[Int]): Double =
       pred.zip(truth).count { case (a, b) => a != b }.toDouble / truth.length

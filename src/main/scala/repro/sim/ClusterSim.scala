@@ -140,9 +140,9 @@ final class ClusterSim(
         def bufferBytes: Double = bufBytesNow
         def bufferCapBytes: Double = ClusterSim.this.bufferCapBytes
         def cloudRemaining: Double = cloudBudgetDollars - cloudSpent
-        def work(cfgIdx: Int): Double = trace.cost(i)(cfgIdx)
+        def work(cfgIdx: Int): Double = trace.cost(i, cfgIdx)
         def cloudCost(cfgIdx: Int, p: Placement): Double =
-          trace.cost(i)(cfgIdx) * p.cloudFrac * cloudPricePerCoreSec
+          trace.cost(i, cfgIdx) * p.cloudFrac * cloudPricePerCoreSec
         def feasible(cfgIdx: Int, p: Placement): Boolean = {
           val d = duration(i, cfgIdx, p)
           val finish = start + d
@@ -153,7 +153,7 @@ final class ClusterSim(
       }
 
       val dec = controller.choose(probe, i)
-      val w = trace.cost(i)(dec.cfgIdx) + dec.extraLocalWork
+      val w = trace.cost(i, dec.cfgIdx) + dec.extraLocalWork
       val d = duration(i, dec.cfgIdx, dec.placement) + dec.extraLocalWork / cores
       val finish = start + d
       val lagAfter = math.max(0.0, math.min(finish, n * dt) - (i + 1) * dt)
@@ -164,10 +164,10 @@ final class ClusterSim(
 
       cloudSpent += w * dec.placement.cloudFrac * cloudPricePerCoreSec
       work += w
-      val q = trace.qual(i)(dec.cfgIdx)
+      val q = trace.qual(i, dec.cfgIdx)
       totalQ += q
       chosen(i) = dec.cfgIdx
-      controller.observe(i, dec.cfgIdx, q, trace.report(i)(dec.cfgIdx))
+      controller.observe(i, dec.cfgIdx, q, trace.report(i, dec.cfgIdx))
 
       finishPrev = finish
       lastLag = lagAfter
@@ -183,7 +183,7 @@ final class ClusterSim(
     * cloud execution overlaps the upload window (Appendix M.1).
     */
   def duration(i: Int, cfgIdx: Int, p: Placement): Double = {
-    val w = trace.cost(i)(cfgIdx)
+    val w = trace.cost(i, cfgIdx)
     val localTime = (1.0 - p.cloudFrac) * w / cores
     // Upload ships only the streams this config actually analyzes.
     val analyzed =

@@ -101,7 +101,7 @@ object VideoSynth {
   /** Generate the segments DataFrame for `spec` (deterministic in the seed). */
   def segments(spark: SparkSession, spec: StreamSpec): DataFrame = {
     val amps     = dayAmplitudes(spec)
-    val ampArray = array(amps.map(lit(_)): _*)
+    val ampArray = array(amps.toSeq.map(lit(_)): _*)
 
     val base = spark.range(spec.nSegments).toDF("segId")
       .withColumn("t", col("segId") * spec.segSec)

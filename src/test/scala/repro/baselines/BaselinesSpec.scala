@@ -17,9 +17,8 @@ class BaselinesSpec extends AnyFunSuite {
     val qual = Array.tabulate(n)(i => rhos.map(r => math.max(0.0, 1.0 - (1 - r) * diff(i))))
     SegmentTrace(dt,
       Array.tabulate(n)(i => (i * dt / 86400).toInt), Array.fill(n)(0), diff,
-      Array.fill(n)(1.0), configs, qual,
-      Array.tabulate(n)(_ => costsPerSec.map(_ * dt)),
-      qual.map(_.clone()))
+      Array.fill(n)(1.0), configs, Array.fill(n)(1.0), qual.flatten,
+      Array.tabulate(n)(_ => costsPerSec.map(_ * dt)))
   }
 
   private val bitrate = 90e3
@@ -57,7 +56,7 @@ class BaselinesSpec extends AnyFunSuite {
     val t = mkTrace()
     val r = ChameleonStar.run(t, 16, 4e9, bitrate, cloudBytes, uplink,
                               profileEverySec = 60.0)
-    val baseWork = t.cost.map(c => c.min).sum // lower bound without profiling
+    val baseWork = t.costRows.map(_.min).sum // lower bound without profiling
     assert(r.workCoreSec > baseWork)
     // Profiling charges the sum of all configs every 30 segments.
     val profileEvents = t.nSegments / 30 - 1
@@ -100,7 +99,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("Optimum respects its work budget") {
     val t = mkTrace()
-    val minWork = t.cost.map(_.min).sum
+    val minWork = t.costRows.map(_.min).sum
     val budget = minWork * 3
     val a = Optimum.assign(t, budget)
     assert(a.workCoreSec <= budget + 1e-6)
@@ -110,17 +109,17 @@ class BaselinesSpec extends AnyFunSuite {
   test("Optimum dominates every static config at the same work") {
     val t = mkTrace()
     for (k <- 0 until t.nConfigs) {
-      val work = t.cost.map(_(k)).sum
+      val work = t.costRows.map(_(k)).sum
       val a = Optimum.assign(t, work)
-      val staticQ = t.qual.map(_(k)).sum
+      val staticQ = (0 until t.nSegments).map(t.qual(_, k)).sum
       assert(a.totalQuality >= staticQ - 1e-6, s"k=$k")
     }
   }
 
   test("Optimum quality is monotone in budget and reaches 100% eventually") {
     val t = mkTrace()
-    val minW = t.cost.map(_.min).sum
-    val maxW = t.cost.map(_.max).sum
+    val minW = t.costRows.map(_.min).sum
+    val maxW = t.costRows.map(_.max).sum
     val qs = Seq(1.0, 1.5, 2.5, 5.0, 25.0).map(f =>
       Optimum.assign(t, minW * f).qualityPct)
     qs.sliding(2).foreach { case Seq(a, b) => assert(b >= a - 1e-9); case _ => }

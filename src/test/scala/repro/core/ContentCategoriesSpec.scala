@@ -17,6 +17,14 @@ class ContentCategoriesSpec extends SparkSpec {
     assert(cats.model.centers.forall(_.length == configs.length))
   }
 
+  test("a negative seed picks the sample offset seed mod stride") {
+    // sampleFrac 0.05 is a stride of 20: seed -1 samples from offset 19, as 19 does.
+    val neg = ContentCategories.fit(trace, nCategories = 3, sampleFrac = 0.05, seed = -1)
+    val pos = ContentCategories.fit(trace, nCategories = 3, sampleFrac = 0.05, seed = 19)
+    assert(neg.model.centers.map(_.toSeq).toSeq == pos.model.centers.map(_.toSeq).toSeq)
+    assert(neg.discriminatorDim == pos.discriminatorDim)
+  }
+
   test("cluster centers are valid qualities") {
     for (c <- 0 until cats.n; k <- configs.indices)
       assert(cats.center(c, k) >= 0 && cats.center(c, k) <= 1)

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
+import scala.annotation.nowarn
 
 class QualityMatrixSpec extends SparkSpec {
 
@@ -13,12 +14,14 @@ class QualityMatrixSpec extends SparkSpec {
   test("trace dimensions") {
     assert(trace.nSegments == 86400 / 2)
     assert(trace.nConfigs == configs.length)
-    assert(trace.qual.length == trace.nSegments)
-    assert(trace.cost.length == trace.nSegments)
+    assert(trace.weight.length == trace.nSegments)
+    assert(trace.reportCells.length == trace.nSegments * trace.nConfigs)
+    assert(trace.costRows.length == trace.nSegments)
   }
 
   /** Every (segment, config) cell of all three channels equals the scalar
-    * model exactly, with the segment's own regime selecting ρ·affinity.
+    * model exactly, with the segment's own regime selecting ρ·affinity, and
+    * qual is the stored weight times the stored report.
     */
   private def assertMatchesScalar(w: Workload, t: SegmentTrace): Unit = {
     def same(got: Double, exp: Double, what: => String): Unit =
@@ -26,9 +29,10 @@ class QualityMatrixSpec extends SparkSpec {
     for (i <- 0 until t.nSegments; k <- t.configs.indices) {
       val p = t.configs(k)
       val (d, l, r) = (t.difficulty(i), t.load(i), t.regime(i))
-      same(t.qual(i)(k), w.quality(p, i.toLong, d, l, r), s"qual seg=$i k=$k")
-      same(t.cost(i)(k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
-      same(t.report(i)(k), w.reported(p, i.toLong, d, l, r), s"report seg=$i k=$k")
+      same(t.qual(i, k), w.quality(p, i.toLong, d, l, r), s"qual seg=$i k=$k")
+      same(t.qual(i, k), t.weight(i) * t.report(i, k), s"weight · report seg=$i k=$k")
+      same(t.cost(i, k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
+      same(t.report(i, k), w.reported(p, i.toLong, d, l, r), s"report seg=$i k=$k")
     }
   }
 
@@ -44,10 +48,12 @@ class QualityMatrixSpec extends SparkSpec {
   test("columns follow the order configs are passed in") {
     val rev = QualityMatrix.trace(spark, Covid, 1, configs.reverse)
     assert(rev.configs == configs.reverse)
-    def reversed(m: Array[Array[Double]]) = m.map(_.reverse.toSeq).toSeq
-    assert(rev.qual.map(_.toSeq).toSeq == reversed(trace.qual))
-    assert(rev.cost.map(_.toSeq).toSeq == reversed(trace.cost))
-    assert(rev.report.map(_.toSeq).toSeq == reversed(trace.report))
+    val nK = configs.length
+    for (i <- 0 until trace.nSegments; k <- 0 until nK) {
+      assert(rev.qual(i, nK - 1 - k) == trace.qual(i, k))
+      assert(rev.cost(i, nK - 1 - k) == trace.cost(i, k))
+      assert(rev.report(i, nK - 1 - k) == trace.report(i, k))
+    }
   }
 
   test("a stream whose segment ids are not dense fails loudly") {
@@ -74,17 +80,37 @@ class QualityMatrixSpec extends SparkSpec {
   /** Consecutive cost rows share one array exactly when they are bit-identical. */
   private def assertCostRowsShared(t: SegmentTrace): Unit =
     for (i <- 1 until t.nSegments) {
-      val same = java.util.Arrays.equals(t.cost(i), t.cost(i - 1))
-      assert((t.cost(i) eq t.cost(i - 1)) == same, s"seg=$i equal=$same")
+      val same = java.util.Arrays.equals(t.costRows(i), t.costRows(i - 1))
+      assert((t.costRows(i) eq t.costRows(i - 1)) == same, s"seg=$i equal=$same")
     }
 
   test("a single stream's cost rows are one shared array, also after slice") {
     assert(trace.load.forall(_ == 1.0))
-    assert(trace.cost.forall(_ eq trace.cost(0)))
+    assert(trace.costRows.forall(_ eq trace.costRows(0)))
     val s = trace.slice(100, 200)
-    assert(s.cost.forall(_ eq trace.cost(0)))
-    assert(trace.qual(1) ne trace.qual(0))
-    assert(trace.report(1) ne trace.report(0))
+    assert(s.costRows.forall(_ eq trace.costRows(0)))
+  }
+
+  /** The deprecated whole-channel copies hold every cell bit for bit, in
+    * fresh arrays (cost: a fresh array of the shared rows): readers of row
+    * arrays outside this build see the values the cell accessors give.
+    */
+  @nowarn("cat=deprecation")
+  private def assertCopiesMatchCells(t: SegmentTrace): Unit = {
+    val (q, c, r) = (t.qual, t.cost, t.report)
+    for ((name, m, cell) <- Seq[(String, Array[Array[Double]], (Int, Int) => Double)](
+           ("qual", q, t.qual(_, _)), ("cost", c, t.cost(_, _)), ("report", r, t.report(_, _)))) {
+      assert(m.length == t.nSegments && m.forall(_.length == t.nConfigs), name)
+      for (i <- 0 until t.nSegments; k <- 0 until t.nConfigs)
+        if (java.lang.Double.doubleToRawLongBits(m(i)(k)) != java.lang.Double.doubleToRawLongBits(cell(i, k)))
+          fail(s"$name copy seg=$i k=$k: ${m(i)(k)} != ${cell(i, k)}")
+    }
+    assert(c ne t.costRows)
+  }
+
+  test("the deprecated whole-channel copies equal the cells") {
+    assert(trace.weight.exists(_ != 1.0))
+    assertCopiesMatchCells(trace)
   }
 
   test("day index is ordered and dayStart finds boundaries") {
@@ -100,13 +126,18 @@ class QualityMatrixSpec extends SparkSpec {
     val s = trace.slice(100, 200)
     assert(s.nSegments == 100)
     assert(s.difficulty(0) == trace.difficulty(100))
-    assert(s.qual(5)(0) == trace.qual(105)(0))
+    assert(s.weight(5) == trace.weight(105))
+    for (k <- configs.indices) {
+      assert(s.report(5, k) == trace.report(105, k))
+      assert(s.qual(5, k) == trace.qual(105, k))
+    }
+    assert(s.reportCells.length == 100 * configs.length)
     assert(s.configs == trace.configs)
   }
 
   test("maxTotalQuality is an upper bound on any config's total") {
     for (k <- configs.indices) {
-      val tot = trace.qual.map(_(k)).sum
+      val tot = (0 until trace.nSegments).map(trace.qual(_, k)).sum
       assert(tot <= trace.maxTotalQuality + 1e-9)
     }
     assert(trace.maxTotalQuality > 0)
@@ -119,10 +150,11 @@ class QualityMatrixSpec extends SparkSpec {
     assert(t.load.distinct.length > 3)
     val i = t.load.indexWhere(_ > 20)
     assert(i >= 0)
-    assert(math.abs(t.cost(i)(0) - cfgs(0).unitCost * 16.0 * MoseiHigh.segSec) < 1e-9)
+    assert(math.abs(t.cost(i, 0) - cfgs(0).unitCost * 16.0 * MoseiHigh.segSec) < 1e-9)
     assertMatchesScalar(MoseiHigh, t)
     assertCostRowsShared(t)
-    val shared = (1 until t.nSegments).count(j => t.cost(j) eq t.cost(j - 1))
+    assertCopiesMatchCells(t)
+    val shared = (1 until t.nSegments).count(j => t.costRows(j) eq t.costRows(j - 1))
     info(f"MOSEI-HIGH: $shared of ${t.nSegments} segments share the previous cost row " +
       f"(${100.0 * shared / t.nSegments}%.1f%%)")
   }
@@ -138,7 +170,7 @@ class QualityMatrixSpec extends SparkSpec {
       val d = new SkyscraperSpec.Digest
       cfgs.foreach(p => d.long(p.id.toLong))
       d.ints(t.day); d.ints(t.regime); d.doubles(t.difficulty); d.doubles(t.load)
-      for (ch <- Seq(t.qual, t.cost, t.report)) ch.foreach(d.doubles)
+      d.channels(t)
       w.name -> d.hex
     }.toMap
     assert(got == pinned)

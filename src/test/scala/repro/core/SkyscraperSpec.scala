@@ -111,12 +111,13 @@ class SkyscraperSpec extends SparkSpec {
   }
 
   test("offline fit, online loop and baselines leave every trace cell unchanged") {
-    // Trace rows are read-only and cost rows are shared between segments
+    // Trace arrays are read-only and cost rows are shared between segments
     // (and between train and test), so one write would change many cells.
-    assert(train.cost(0) eq test.cost(0))
-    def channels(t: SegmentTrace) =
-      Seq("qual" -> t.qual, "cost" -> t.cost, "report" -> t.report)
-    val copies = Seq(train, test).map(channels(_).map(_._2.map(_.clone())))
+    // qual is weight · report, so the three stored arrays cover every cell.
+    assert(train.costRows(0) eq test.costRows(0))
+    def storage(t: SegmentTrace): Seq[(String, Array[Array[Double]])] =
+      Seq("weight" -> Array(t.weight), "report" -> Array(t.reportCells), "cost row" -> t.costRows)
+    val copies = Seq(train, test).map(storage(_).map(_._2.map(_.clone())))
 
     Skyscraper.fitFromTrace(Covid, model.configs, train, hyper)
     run(4, cloud = 2.0)
@@ -127,9 +128,11 @@ class SkyscraperSpec extends SparkSpec {
     Optimum.assign(test, 4.0 * test.nSegments * test.segSec)
 
     for ((t, copy) <- Seq(train, test).zip(copies);
-         ((ch, m), m0) <- channels(t).zip(copy);
-         i <- m.indices)
-      assert(java.util.Arrays.equals(m(i), m0(i)), s"$ch row $i (day ${t.day(i)}) changed")
+         ((what, m), m0) <- storage(t).zip(copy);
+         i <- m.indices) {
+      val at = java.util.Arrays.mismatch(m(i), m0(i))
+      assert(at < 0, s"$what $i changed at index $at")
+    }
   }
 
   test("the pre-sample is picked from the collected stream only where it equals the query's") {
@@ -177,7 +180,16 @@ object SkyscraperSpec {
     private var h = 0xcbf29ce484222325L
     def long(v: Long): Unit = { h = (h ^ v) * 0x100000001b3L; h ^= h >>> 29 }
     def ints(a: Array[Int]): Unit = a.foreach(v => long(v.toLong))
-    def doubles(a: Array[Double]): Unit = a.foreach(v => long(java.lang.Double.doubleToLongBits(v)))
+    def doubles(a: Array[Double]): Unit = a.foreach(double)
+    def double(v: Double): Unit = long(java.lang.Double.doubleToLongBits(v))
+
+    /** Every cell of `t`'s qual, cost and report channels: one channel after
+      * the other, each segment by segment.
+      */
+    def channels(t: SegmentTrace): Unit =
+      for (cell <- Seq[(Int, Int) => Double](t.qual(_, _), t.cost(_, _), t.report(_, _));
+           i <- 0 until t.nSegments; k <- 0 until t.nConfigs)
+        double(cell(i, k))
     def hex: String = f"$h%016x"
   }
 
@@ -187,7 +199,7 @@ object SkyscraperSpec {
   def digest(m: SkyscraperModel, train: SegmentTrace, test: SegmentTrace): String = {
     val d = new Digest
     m.configs.foreach(c => d.long(c.id.toLong))
-    for (t <- Seq(train, test); ch <- Seq(t.qual, t.cost, t.report)) ch.foreach(d.doubles)
+    Seq(train, test).foreach(d.channels)
     d.ints(m.trainCats)
     m.costHat.foreach(d.doubles)
     m.qualHat.foreach(d.doubles)

@@ -19,7 +19,7 @@ class VetlPipelineSpec extends SparkSpec {
     val bad = objs.where(
       col("frameNo") < 0 || col("frameNo") >= framesPerSeg || col("objId") < 0).count()
     assert(bad == 0)
-    assert(objs.select("segId").distinct.count() == 600)
+    assert(objs.select("segId").distinct().count() == 600)
     // crowded (hard) segments carry more objects
     val perSeg = objs.groupBy("segId").count()
       .join(segments.select("segId", "difficulty"), "segId")

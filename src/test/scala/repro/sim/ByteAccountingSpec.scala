@@ -19,9 +19,8 @@ class ByteAccountingSpec extends AnyFunSuite {
     SegmentTrace(dt,
       Array.tabulate(n)(i => (i * dt / 86400).toInt), Array.fill(n)(0),
       Array.fill(n)(0.5), loads, configs,
-      Array.fill(n)(Array(0.5)),
-      costs.map(c => Array(c)),
-      Array.fill(n)(Array(0.5)))
+      Array.fill(n)(1.0), Array.fill(n)(0.5),
+      costs.map(c => Array(c)))
   }
 
   private val bitrate = 100e3

@@ -16,9 +16,9 @@ class ClusterSimSpec extends AnyFunSuite {
       Array.tabulate(n)(i => (i * dt / 86400).toInt),
       Array.fill(n)(0), Array.fill(n)(0.5), Array.fill(n)(load),
       configs,
-      Array.fill(n)(quals.clone()),
-      Array.tabulate(n)(_ => costsPerSec.map(_ * dt * load)),
-      Array.fill(n)(quals.clone()))
+      Array.fill(n)(1.0),
+      Array.fill(n)(quals).flatten,
+      Array.tabulate(n)(_ => costsPerSec.map(_ * dt * load)))
   }
 
   private def static(k: Int): Controller = new Controller {
