@@ -1,46 +1,42 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.video.SynthLaw
 import repro.workload.{ConfigProfile, Workload}
 
 /** The per-(segment, config) report and cost channels of a stream.
   *
-  * One narrow Spark query collects the stream's columns ([[segments]]); the
-  * driver fills one flat n·K report array with the workload's scalar law (a
-  * few tens of ns a cell) and one weight per segment, in a parallel loop over
-  * segments. Each segment's cells are written by one task, so the result does
-  * not depend on scheduling. Quality is not stored: [[SegmentTrace]] computes
-  * qual = weight(d)·report on read. Consecutive bit-identical cost rows share
-  * one array, so every array of the trace is read-only. A trace holds
-  * K·8 + 8 bytes of report and weight per segment, plus its cost-row pointer.
+  * The driver synthesizes the stream's columns ([[segments]]) with the
+  * content law [[repro.video.SynthLaw]], then fills one flat n·K report
+  * array with the workload's scalar law (a few tens of ns a cell) and one
+  * weight per segment. Both are parallel loops over segments; each segment's
+  * cells are written by one task, so the result does not depend on
+  * scheduling. No Spark job runs. Quality is not stored: [[SegmentTrace]]
+  * computes qual = weight(d)·report on read. Consecutive bit-identical cost
+  * rows share one array, so every array of the trace is read-only. A trace
+  * holds K·8 + 8 bytes of report and weight per segment, plus its cost-row
+  * pointer.
   */
 object QualityMatrix {
 
-  /** The narrow columns of a stream, indexed by segment id. */
+  /** The columns of a stream the trace reads, indexed by segment id. */
   final case class Segments(day: Array[Int], regime: Array[Int], difficulty: Array[Double],
                             load: Array[Double]) {
     def n: Int = day.length
   }
 
-  /** Collect `days` days of workload `w`'s stream (one narrow Spark query);
-    * its segment ids must be exactly `0 until n`.
+  /** Synthesize `days` days of workload `w`'s stream on the driver, one
+    * segment per id in `0 until n`.
     */
-  def segments(spark: SparkSession, w: Workload, days: Int, seed: Long = 7): Segments = {
-    import spark.implicits._
-    val rows = w.stream(spark, days, seed)
-      .select("segId", "day", "regime", "difficulty", "load")
-      .as[(Long, Int, Int, Double, Double)]
-      .collect()
-    val n = rows.length
+  def segments(w: Workload, days: Int, seed: Long = 7): Segments = {
+    val law = new SynthLaw(w.streamSpec(days, seed))
+    val n = law.spec.nSegments.toInt
     val segs = Segments(new Array[Int](n), new Array[Int](n), new Array[Double](n),
                         new Array[Double](n))
-    val seen = new java.util.BitSet(n)
-    for ((id, d, r, df, l) <- rows) {
-      require(id >= 0 && id < n && !seen.get(id.toInt),
-        s"QualityMatrix.segments: segment ids must be exactly 0 until $n; got $id")
-      val i = id.toInt
-      seen.set(i)
-      segs.day(i) = d; segs.regime(i) = r; segs.difficulty(i) = df; segs.load(i) = l
+    java.util.stream.IntStream.range(0, n).parallel().forEach { i =>
+      val s = law(i.toLong)
+      segs.day(i) = s.day; segs.regime(i) = s.regime
+      segs.difficulty(i) = s.difficulty; segs.load(i) = s.load
     }
     segs
   }
@@ -48,13 +44,15 @@ object QualityMatrix {
   /** Build the full [[SegmentTrace]] for `days` days of workload `w`,
     * restricted to configuration set `configs` (usually the filtered Pareto
     * set, plus whatever the caller needs). Config index k of every channel is
-    * `configs(k)`.
+    * `configs(k)`. `spark` is unused: the trace is built on the driver. The
+    * overload stays until `perfbench/`, which calls it, moves onto library
+    * entry points (ROADMAP item 1).
     */
   def trace(spark: SparkSession, w: Workload, days: Int,
             configs: Vector[ConfigProfile], seed: Long = 7): SegmentTrace =
-    trace(w, segments(spark, w, days, seed), configs)
+    trace(w, segments(w, days, seed), configs)
 
-  /** The trace of the collected stream `segs`; it shares `segs`' arrays. */
+  /** The trace of the synthesized stream `segs`; it shares `segs`' arrays. */
   def trace(w: Workload, segs: Segments, configs: Vector[ConfigProfile]): SegmentTrace = {
     val (n, nK) = (segs.n, configs.length)
     val rhoEff = Array.tabulate(w.NRegimes, nK)((r, k) => configs(k).rho * w.affinity(configs(k).cfg, r))

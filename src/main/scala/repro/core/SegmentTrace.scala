@@ -7,9 +7,10 @@ import repro.workload.ConfigProfile
   *
   * All control-loop components (offline fit, planner, switcher, simulator,
   * baselines) consume this through the cell accessors `qual(i, k)`,
-  * `cost(i, k)` and `report(i, k)`. Spark synthesizes the stream; the cells
-  * are filled on the driver by the workload's scalar law, so every cell
-  * equals `Workload.quality`/`reported`/`costPerSec` bit for bit.
+  * `cost(i, k)` and `report(i, k)`. The driver synthesizes the stream with
+  * `VideoSynth`'s content law and fills the cells with the workload's scalar
+  * law, so every cell equals `Workload.quality`/`reported`/`costPerSec` bit
+  * for bit.
   *
   * Layout. The report channel is one flat row-major n·K array, and qual is not
   * stored: `qual(i, k)` is `weight(i) * report(i, k)` computed on read, the

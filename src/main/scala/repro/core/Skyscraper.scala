@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.sim._
+import repro.video.SynthLaw
 import repro.workload.{ConfigProfile, Workload}
 
 /** Skyscraper hyperparameters (paper Appendix I defaults). */
@@ -33,7 +33,9 @@ object Skyscraper {
 
   /** Run the offline phase on `trainDays` of history and build the traces.
     * Returns (model, trainTrace, testTrace); both traces share the filtered
-    * configuration set K.
+    * configuration set K. The whole fit runs on the driver; `spark` is unused
+    * until `perfbench/`, which calls this signature, moves onto library entry
+    * points (ROADMAP item 1).
     */
   def fitAndTrace(spark: SparkSession, w: Workload, hyper: Hyper = Hyper(),
                   trainDays: Int = -1, testDays: Int = -1)
@@ -42,9 +44,9 @@ object Skyscraper {
     val teD = if (testDays > 0) testDays else w.testDays
 
     // 1. Filter knob configurations on a content-diverse pre-sample of the
-    //    training stream: the training prefix of the one train+test read
-    //    where that prefix is the training stream, else a read of its own.
-    val segs = QualityMatrix.segments(spark, w, trD + teD, hyper.seed)
+    //    training stream: the training prefix of the train+test stream
+    //    where that prefix is the training stream, else a synthesis of its own.
+    val segs = QualityMatrix.segments(w, trD + teD, hyper.seed)
     val pre =
       if (prefixIsStream(w, trD, trD + teD, hyper.seed)) preSample(w, segs, trD, hyper.preSampleSize)
       else preSample(spark, w, trD, hyper.preSampleSize, hyper.seed)
@@ -81,22 +83,20 @@ object Skyscraper {
 
   /** Diverse pre-sample of segments for the config filter (Appendix A.1):
     * every stride-th segment of the first `days` days of the stream. Only the
-    * picked segments are synthesized: the filter on `segId` sits below the
-    * synthesis in Spark's plan.
+    * picked segments are synthesized, on the driver; `spark` is unused until
+    * `perfbench/`, which calls this signature, moves onto library entry
+    * points (ROADMAP item 1).
     */
   def preSample(spark: SparkSession, w: Workload, days: Int, size: Int,
                 seed: Long): Seq[Pareto.Seg] = {
-    import spark.implicits._
-    val ids = preSampleIds(w, days, size)
-    w.stream(spark, days, seed)
-      .where(col("segId") < ids.end.toLong && col("segId") % ids.step.toLong === 0L)
-      .select("segId", "difficulty", "load", "regime")
-      .as[(Long, Double, Double, Int)]
-      .collect().toSeq
-      .map { case (i, d, l, r) => Pareto.Seg(i, d, l, r) }
+    val law = new SynthLaw(w.streamSpec(days, seed))
+    preSampleIds(w, days, size).map { i =>
+      val s = law(i.toLong)
+      Pareto.Seg(i, s.difficulty, s.load, s.regime)
+    }
   }
 
-  /** The same stride pick over the first `days` days of collected columns. */
+  /** The same stride pick over the first `days` days of synthesized columns. */
   def preSample(w: Workload, segs: QualityMatrix.Segments, days: Int, size: Int): Seq[Pareto.Seg] =
     preSampleIds(w, days, size).takeWhile(_ < segs.n)
       .map(i => Pareto.Seg(i, segs.difficulty(i), segs.load(i), segs.regime(i)))

@@ -125,7 +125,7 @@ object Experiments {
     }
 
     // 3. Compute content categories: process a sample of the unlabeled data
-    //    with ALL kept configs (Spark pass) and cluster the quality vectors.
+    //    with ALL kept configs (driver pass) and cluster the quality vectors.
     val (cats, tCats) = timed {
       val sampled = QualityMatrix.trace(spark, w,
         math.max(1, (trD * hyper.categorySampleFrac * 4).toInt), k, hyper.seed + 1)
@@ -133,7 +133,7 @@ object Experiments {
     }
 
     // 4. Create forecast training data: process ALL unlabeled data with the
-    //    cheapest config (Spark pass), classify, window into training pairs.
+    //    cheapest config (driver pass), classify, window into training pairs.
     val ((trainCats, forecaster), tData) = timed {
       val kMinus = Vector(k.head)
       val full = QualityMatrix.trace(spark, w, trD, kMinus, hyper.seed)

@@ -1,7 +1,6 @@
 package repro.video
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.DetHash
 
 /** Parameters of the synthetic content process for one video source.
@@ -60,18 +59,84 @@ final case class LoadSpec(
     longExtra: Double = 30.0,
 )
 
-/** Synthetic video-stream generator (Spark DataFrame of segments).
+/** One synthesized video segment: a row of the stream.
   *
-  * Output schema, one row per video segment:
-  * {{{
-  *   segId: long        segment index from stream start
-  *   t: double          seconds from stream start
-  *   day: int           day index
-  *   hour: double       hour of day ∈ [0, 24)
-  *   regime: int        latent content regime (index into regimeBumps)
-  *   difficulty: double latent analysis hardness ∈ [0,1]
-  *   load: double       concurrent streams (1.0 for single-stream)
-  * }}}
+  * @param segId      segment index from stream start
+  * @param t          seconds from stream start
+  * @param day        day index
+  * @param hour       hour of day ∈ [0, 24)
+  * @param regime     latent content regime (index into regimeBumps)
+  * @param difficulty latent analysis hardness ∈ [0,1]
+  * @param load       concurrent streams (1.0 for single-stream)
+  */
+final case class Segment(segId: Long, t: Double, day: Int, hour: Double, regime: Int,
+                         difficulty: Double, load: Double)
+
+/** The content law of the stream `spec`: `apply(segId)` synthesizes one
+  * segment, a pure function of the id. The driver fills a stream's columns
+  * with it (`QualityMatrix.segments`), and the Spark view
+  * [[VideoSynth.segments]] maps segment ids through it, so both read the
+  * same bits. The operations and their order fix those bits, which the pinned
+  * trace digests check.
+  */
+final class SynthLaw(val spec: StreamSpec) extends Serializable {
+  private val amps  = VideoSynth.dayAmplitudes(spec)
+  private val bumps = spec.regimeBumps.toArray
+
+  def apply(segId: Long): Segment = {
+    val t    = segId.toDouble * spec.segSec
+    val day  = (t / 86400.0).toInt
+    val hour = (t / 3600.0) % 24.0
+    // Activity factor; may exceed 1 on high-amplitude days.
+    val activity = VideoSynth.diurnal(hour) * amps(day)
+
+    // Regime draw per dwell block: weights depend on activity (forecastable
+    // frequencies), draw depends on a block hash (unpredictable timing).
+    // Busy/spike regimes are bursts: their *frequency* rises with daytime
+    // activity but they stay the minority even at peak — most daytime
+    // content is still analyzable by mid-tier configs (paper Fig. 3).
+    val blockId = (t / spec.dwellSec).toLong
+    val fA     = math.min(activity, 1.3)
+    val wCalm  = math.max(0.05, 1.2 * (1.0 - fA))
+    val wNorm  = 0.50
+    val wBusy  = 0.02 + 0.13 * fA
+    val wSpike = 0.005 + 0.055 * fA
+    val total  = wCalm + wNorm + wBusy + wSpike
+    val u      = DetHash.uniform(blockId, spec.seed, 1L)
+    val regime =
+      if (u < wCalm / total) 0
+      else if (u < (wCalm + wNorm) / total) 1
+      else if (u < (wCalm + wNorm + wBusy) / total) 2
+      else 3
+
+    val noise = DetHash.uniform(segId, spec.seed, 2L) - 0.5
+    val difficulty = math.max(0.0, math.min(1.0,
+      spec.baseDifficulty + spec.diurnalAmp * activity + bumps(regime) + spec.noiseAmp * noise))
+
+    val load = spec.loadSpec match {
+      case None => 1.0
+      case Some(ls) =>
+        val diurnalLoad = ls.baseStreams * (0.45 + 0.75 * activity)
+        val high =
+          if (ls.spikeHigh && t % ls.highPeriodSec < ls.highLenSec) ls.maxStreams else 0.0
+        val long =
+          if (ls.spikeLongFromSec >= 0 && t >= ls.spikeLongFromSec && t < ls.spikeLongToSec)
+            ls.longExtra
+          else 0.0
+        val jitter = (DetHash.uniform(blockId, spec.seed, 3L) - 0.5) * 4.0
+        val streams = math.max(diurnalLoad + jitter + long, high)
+        // Half-up on the decimal form (SQL's round), as the digests were pinned.
+        val rounded = java.math.BigDecimal.valueOf(streams)
+          .setScale(0, java.math.RoundingMode.HALF_UP).doubleValue
+        math.max(1.0, math.min(ls.maxStreams, rounded))
+    }
+
+    Segment(segId, t, day, hour, regime, difficulty, load)
+  }
+}
+
+/** Synthetic video-stream generator: the content law [[SynthLaw]], one
+  * [[Segment]] per id, and a Spark DataFrame view of it for the ETL path.
   */
 object VideoSynth {
 
@@ -93,74 +158,18 @@ object VideoSynth {
   }
 
   /** Diurnal activity factor ∈ [0,1]: a daytime hump peaking around 13:00. */
-  def diurnalCol(hour: Column): Column = {
-    val x = (hour - lit(6.0)) / lit(14.0) // active window 06:00–20:00
-    when(x >= 0 && x <= 1, sin(x * math.Pi)).otherwise(lit(0.0))
+  def diurnal(hour: Double): Double = {
+    val x = (hour - 6.0) / 14.0 // active window 06:00–20:00
+    if (x >= 0 && x <= 1) math.sin(x * math.Pi) else 0.0
   }
 
-  /** Generate the segments DataFrame for `spec` (deterministic in the seed). */
+  /** The stream `spec` as a DataFrame with [[Segment]]'s columns, one row per
+    * segment id in `0 until spec.nSegments`, each row synthesized by
+    * [[SynthLaw]]. A filter on `segId` applies after synthesis.
+    */
   def segments(spark: SparkSession, spec: StreamSpec): DataFrame = {
-    val amps     = dayAmplitudes(spec)
-    val ampArray = array(amps.toSeq.map(lit(_)): _*)
-
-    val base = spark.range(spec.nSegments).toDF("segId")
-      .withColumn("t", col("segId") * spec.segSec)
-      .withColumn("day", (col("t") / 86400.0).cast("int"))
-      .withColumn("hour", (col("t") / 3600.0) % 24.0)
-
-    val f0 = diurnalCol(col("hour")) * element_at(ampArray, col("day") + 1)
-    // Activity factor; may exceed 1 on high-amplitude days.
-    val withF = base.withColumn("activity", f0)
-
-    // Regime draw per dwell block: weights depend on activity (forecastable
-    // frequencies), draw depends on a block hash (unpredictable timing).
-    // Busy/spike regimes are bursts: their *frequency* rises with daytime
-    // activity but they stay the minority even at peak — most daytime
-    // content is still analyzable by mid-tier configs (paper Fig. 3).
-    val blockId = (col("t") / spec.dwellSec).cast("long")
-    val fA    = least(col("activity"), lit(1.3))
-    val wCalm  = greatest(lit(0.05), lit(1.2) * (lit(1.0) - fA))
-    val wNorm  = lit(0.50)
-    val wBusy  = lit(0.02) + lit(0.13) * fA
-    val wSpike = lit(0.005) + lit(0.055) * fA
-    val total  = wCalm + wNorm + wBusy + wSpike
-    val u      = DetHash.uniformCol(blockId, lit(spec.seed), lit(1L))
-    val regime = when(u < wCalm / total, lit(0))
-      .when(u < (wCalm + wNorm) / total, lit(1))
-      .when(u < (wCalm + wNorm + wBusy) / total, lit(2))
-      .otherwise(lit(3))
-
-    val bumpArr = array(spec.regimeBumps.map(lit(_)): _*)
-    val noise   = DetHash.uniformCol(col("segId"), lit(spec.seed), lit(2L)) - lit(0.5)
-    val diff = greatest(lit(0.0), least(lit(1.0),
-      lit(spec.baseDifficulty) + lit(spec.diurnalAmp) * col("activity") +
-        element_at(bumpArr, regime + 1) + lit(spec.noiseAmp) * noise))
-
-    val withRegime = withF
-      .withColumn("regime", regime)
-      .withColumn("difficulty", diff)
-
-    val load: Column = spec.loadSpec match {
-      case None => lit(1.0)
-      case Some(ls) =>
-        val diurnalLoad = lit(ls.baseStreams) * (lit(0.45) + lit(0.75) * col("activity"))
-        val high =
-          if (ls.spikeHigh)
-            when(pmod(col("t"), lit(ls.highPeriodSec)) < ls.highLenSec,
-                 lit(ls.maxStreams)).otherwise(lit(0.0))
-          else lit(0.0)
-        val long =
-          if (ls.spikeLongFromSec >= 0)
-            when(col("t") >= ls.spikeLongFromSec && col("t") < ls.spikeLongToSec,
-                 lit(ls.longExtra)).otherwise(lit(0.0))
-          else lit(0.0)
-        val jitter = (DetHash.uniformCol(blockId, lit(spec.seed), lit(3L)) - lit(0.5)) * 4.0
-        greatest(lit(1.0), least(lit(ls.maxStreams),
-          round(greatest(diurnalLoad + jitter + long, high))))
-    }
-
-    withRegime
-      .withColumn("load", load)
-      .select("segId", "t", "day", "hour", "regime", "difficulty", "load")
+    import spark.implicits._
+    val law = new SynthLaw(spec)
+    spark.range(spec.nSegments).map(id => law(id)).toDF()
   }
 }

@@ -107,7 +107,9 @@ trait Workload {
 
   def streamSpec(days: Int, seed: Long): StreamSpec
 
-  /** Segments DataFrame for `days` days of this source. */
+  /** Spark view of `days` days of this source, one row per segment (see
+    * `VideoSynth.segments`); the offline fit synthesizes on the driver.
+    */
   def stream(spark: SparkSession, days: Int, seed: Long = 7): DataFrame =
     VideoSynth.segments(spark, streamSpec(days, seed))
 

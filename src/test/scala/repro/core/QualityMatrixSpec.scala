@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
 import scala.annotation.nowarn
@@ -56,25 +54,24 @@ class QualityMatrixSpec extends SparkSpec {
     }
   }
 
-  test("a stream whose segment ids are not dense fails loudly") {
-    val gappy = new Covid {
-      override def stream(spark: SparkSession, days: Int, seed: Long): DataFrame =
-        super.stream(spark, days, seed).where(col("segId") =!= 5L)
-    }
-    val e = intercept[IllegalArgumentException](QualityMatrix.trace(spark, gappy, 1, configs.take(1)))
-    assert(e.getMessage.contains("segment ids must be exactly 0 until"))
-  }
-
-  test("a stream with a repeated segment id fails loudly") {
-    val repeated = new Covid {
-      override def stream(spark: SparkSession, days: Int, seed: Long): DataFrame = {
-        val s = super.stream(spark, days, seed)
-        s.union(s.where(col("segId") === 5L))
+  test("the Spark view of the stream equals the driver's segments bit for bit") {
+    def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+    for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong); seed <- Seq(7L, 1301L)) {
+      val segs = QualityMatrix.segments(w, 2, seed)
+      val rows = w.stream(spark, 2, seed).collect()
+      val what = s"${w.name} seed=$seed"
+      assert(rows.map(_.getAs[Long]("segId")).toSeq == (0L until segs.n.toLong), what)
+      for ((r, i) <- rows.zipWithIndex) {
+        val t = i * w.segSec
+        if (bits(r.getAs[Double]("t")) != bits(t) ||
+            bits(r.getAs[Double]("hour")) != bits(t / 3600.0 % 24.0) ||
+            r.getAs[Int]("day") != segs.day(i) || r.getAs[Int]("regime") != segs.regime(i) ||
+            bits(r.getAs[Double]("difficulty")) != bits(segs.difficulty(i)) ||
+            bits(r.getAs[Double]("load")) != bits(segs.load(i)))
+          fail(s"$what seg=$i: $r != (${segs.day(i)}, ${segs.regime(i)}, " +
+               s"${segs.difficulty(i)}, ${segs.load(i)})")
       }
     }
-    val e = intercept[IllegalArgumentException](QualityMatrix.trace(spark, repeated, 1, configs.take(1)))
-    assert(e.getMessage.contains("segment ids must be exactly 0 until"))
-    assert(e.getMessage.endsWith("got 5"))
   }
 
   /** Consecutive cost rows share one array exactly when they are bit-identical. */

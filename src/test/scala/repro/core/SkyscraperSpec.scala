@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
+import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
 import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
@@ -138,19 +140,29 @@ class SkyscraperSpec extends SparkSpec {
   test("the pre-sample is picked from the collected stream only where it equals the query's") {
     for ((w, trD) <- Seq[(Workload, Int)]((Covid, 1), (Mot, 1), (MoseiHigh, 2))) {
       assert(Skyscraper.prefixIsStream(w, trD, trD + 1, seed = 7), w.name)
-      val shared = Skyscraper.preSample(w, QualityMatrix.segments(spark, w, trD + 1, 7), trD, 500)
+      val shared = Skyscraper.preSample(w, QualityMatrix.segments(w, trD + 1, 7), trD, 500)
       assert(shared == Skyscraper.preSample(spark, w, trD, 500, 7), w.name)
     }
     // MOSEI-LONG's plateau moves with the stream's length, so the 3-day
     // stream's first 2 days are not the 2-day stream: fitAndTrace must take
-    // the separate query.
+    // the separate synthesis.
     val w = MoseiLong
     assert(!Skyscraper.prefixIsStream(w, 2, 3, seed = 7))
     val pre = Skyscraper.preSample(spark, w, 2, 500, 7)
-    assert(Skyscraper.preSample(w, QualityMatrix.segments(spark, w, 3, 7), 2, 500) != pre)
+    assert(Skyscraper.preSample(w, QualityMatrix.segments(w, 3, 7), 2, 500) != pre)
     val h = hyper.copy(preSampleSize = 500)
     val (m, _, _) = Skyscraper.fitAndTrace(spark, w, h, trainDays = 2, testDays = 1)
     assert(m.configs == Pareto.filterConfigs(w, pre, h.nSearch, h.maxK))
+  }
+
+  test("the offline fit submits no Spark job") {
+    // COVID picks its pre-sample from the train+test stream; MOSEI-LONG
+    // synthesizes a separate one.
+    for (w <- Seq[Workload](Covid, MoseiLong)) {
+      val jobs = SkyscraperSpec.sparkJobsOf(spark)(
+        Skyscraper.fitAndTrace(spark, w, hyper, trainDays = 2, testDays = 1))
+      assert(jobs == 0, s"${w.name}: $jobs Spark jobs")
+    }
   }
 
   test("offline fit, plans and online loop reproduce the pinned digests") {
@@ -174,6 +186,43 @@ object SkyscraperSpec {
   val digestHyper: Hyper = Hyper(nCategories = 5,
     forecast = ForecastSpec(inputDays = 0.5, nSplits = 8, horizonDays = 0.5, sampleEveryMin = 15),
     categorySampleFrac = 0.05, nSearch = 4, preSampleSize = 2000, seed = 7)
+
+  /** The number of Spark jobs `body` submits. Job ids grow in submission
+    * order and listener events arrive in order, so once a marker job after
+    * `body` has ended, every job `body` started has been seen: the jobs
+    * between a marker before and the marker after are `body`'s.
+    */
+  def sparkJobsOf(spark: SparkSession)(body: => Any): Int = {
+    val marker = "repro.jobCountMarker"
+    val starts = new java.util.concurrent.ConcurrentLinkedQueue[(Int, Boolean)]()
+    val markersEnded = new java.util.concurrent.Semaphore(0)
+    val listener = new SparkListener {
+      private val markerIds = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        val isMarker = Option(e.properties).exists(_.getProperty(marker) != null)
+        if (isMarker) markerIds.add(e.jobId)
+        starts.add((e.jobId, isMarker))
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (markerIds.contains(e.jobId)) markersEnded.release()
+    }
+    val sc = spark.sparkContext
+    def runMarker(): Unit = {
+      sc.setLocalProperty(marker, "1")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(marker, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      runMarker()
+      body
+      runMarker()
+      assert(markersEnded.tryAcquire(2, 60, java.util.concurrent.TimeUnit.SECONDS),
+             "marker jobs' end events did not arrive")
+    } finally sc.removeSparkListener(listener)
+    val all = starts.toArray(Array.empty[(Int, Boolean)]).toSeq
+    val Seq(before, after) = all.filter(_._2).map(_._1).sorted
+    all.count { case (id, isMarker) => !isMarker && id > before && id < after }
+  }
 
   /** Order-sensitive 64-bit digest of the bits of every value fed to it. */
   private[core] final class Digest {
