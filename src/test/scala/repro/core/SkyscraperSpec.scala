@@ -165,6 +165,29 @@ class SkyscraperSpec extends SparkSpec {
     }
   }
 
+  test("the filtered configurations K are pinned on every workload") {
+    // K's config ids from fitAndTrace at 2+1 days. A change meant to keep K
+    // must reproduce them; an intended change updates them and says so in
+    // CHANGES.md.
+    val pinned = Map[(String, Long), Seq[Int]](
+      ("COVID", 7L) -> Seq(38, 28, 31, 4, 33, 8, 0, 17, 1),
+      ("COVID", 1301L) -> Seq(38, 31, 4, 33, 8, 0, 17, 1),
+      ("MOT", 7L) -> Seq(72, 76, 80, 86, 9, 68, 38, 17, 20, 23),
+      ("MOT", 1301L) -> Seq(72, 76, 80, 86, 9, 68, 38, 14, 17, 20, 23),
+      ("MOSEI-HIGH", 7L) -> Seq(648, 325, 440, 728, 531, 321, 105, 107),
+      ("MOSEI-HIGH", 1301L) -> Seq(648, 325, 440, 728, 531, 321, 105, 107),
+      ("MOSEI-LONG", 7L) -> Seq(648, 325, 440, 555, 14, 429, 105, 107),
+      ("MOSEI-LONG", 1301L) -> Seq(648, 325, 440, 555, 9, 16, 105, 107),
+    )
+    val got = (for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong);
+                    seed <- Seq(7L, 1301L)) yield {
+      val (m, _, _) = Skyscraper.fitAndTrace(spark, w, SkyscraperSpec.digestHyper.copy(seed = seed),
+                                             trainDays = 2, testDays = 1)
+      (w.name, seed) -> m.configs.map(_.id)
+    }).toMap
+    assert(got == pinned)
+  }
+
   test("offline fit, plans and online loop reproduce the pinned digests") {
     // A change meant to keep every output must reproduce these values; an
     // intended behaviour change updates them and says so in CHANGES.md.
