@@ -5,7 +5,12 @@ import repro.sim._
 import repro.video.SynthLaw
 import repro.workload.{ConfigProfile, Workload}
 
-/** Skyscraper hyperparameters (paper Appendix I defaults). */
+/** Skyscraper hyperparameters (paper Appendix I defaults).
+  *
+  * @param nSearch unused: it sized the config filter's hill climb, which is
+  *                gone; it stays only because `perfbench/` reads it
+  *                (ROADMAP item 1 deletes it)
+  */
 final case class Hyper(
     nCategories: Int = 4,
     forecast: ForecastSpec = ForecastSpec(),
@@ -50,7 +55,7 @@ object Skyscraper {
     val pre =
       if (prefixIsStream(w, trD, trD + teD, hyper.seed)) preSample(w, segs, trD, hyper.preSampleSize)
       else preSample(spark, w, trD, hyper.preSampleSize, hyper.seed)
-    val k = Pareto.filterConfigs(w, pre, hyper.nSearch, hyper.maxK)
+    val k = Pareto.filterConfigs(w, pre, hyper.maxK)
 
     // 2. One quality/cost matrix over train+test for the filtered K.
     val full = QualityMatrix.trace(w, segs, k)

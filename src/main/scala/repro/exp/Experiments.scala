@@ -24,9 +24,9 @@ object Experiments {
                           sampleEveryMin = 15)
     w match {
       case _: Mosei => Hyper(nCategories = 5, forecast = fc,
-        categorySampleFrac = 0.10, nSearch = 10, preSampleSize = 2000)
+        categorySampleFrac = 0.10, preSampleSize = 2000)
       case _ => Hyper(nCategories = 5, forecast = fc,
-        categorySampleFrac = 0.05, nSearch = 4, preSampleSize = 2000)
+        categorySampleFrac = 0.05, preSampleSize = 2000)
     }
   }
 
@@ -107,9 +107,9 @@ object Experiments {
       (r, (System.nanoTime() - t0) / 1e9)
     }
 
-    // 1. Filter knob configurations (diverse sampling + hill climbing).
+    // 1. Filter knob configurations (per-regime exact dominance frontiers).
     val (pre, _) = timed(Skyscraper.preSample(spark, w, trD, hyper.preSampleSize, hyper.seed))
-    val (k, tFilter) = timed(Pareto.filterConfigs(w, pre, hyper.nSearch, hyper.maxK))
+    val (k, tFilter) = timed(Pareto.filterConfigs(w, pre, hyper.maxK))
 
     // 2. Filter task placements: estimate the runtime of every
     //    config × placement split with the Appendix-M estimator.

@@ -152,7 +152,7 @@ class SkyscraperSpec extends SparkSpec {
     assert(Skyscraper.preSample(w, QualityMatrix.segments(w, 3, 7), 2, 500) != pre)
     val h = hyper.copy(preSampleSize = 500)
     val (m, _, _) = Skyscraper.fitAndTrace(spark, w, h, trainDays = 2, testDays = 1)
-    assert(m.configs == Pareto.filterConfigs(w, pre, h.nSearch, h.maxK))
+    assert(m.configs == Pareto.filterConfigs(w, pre, h.maxK))
   }
 
   test("the offline fit submits no Spark job") {
@@ -208,7 +208,7 @@ object SkyscraperSpec {
     */
   val digestHyper: Hyper = Hyper(nCategories = 5,
     forecast = ForecastSpec(inputDays = 0.5, nSplits = 8, horizonDays = 0.5, sampleEveryMin = 15),
-    categorySampleFrac = 0.05, nSearch = 4, preSampleSize = 2000, seed = 7)
+    categorySampleFrac = 0.05, preSampleSize = 2000, seed = 7)
 
   /** The number of Spark jobs `body` submits. Job ids grow in submission
     * order and listener events arrive in order, so once a marker job after

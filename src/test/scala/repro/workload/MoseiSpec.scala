@@ -41,7 +41,7 @@ class MoseiSpec extends SparkSpec {
 
   test("filtered K spans stream caps, not just accuracy levels") {
     val pre = Skyscraper.preSample(spark, MoseiHigh, 2, 600, 7)
-    val k = Pareto.filterConfigs(MoseiHigh, pre, nSearch = 6, maxK = 10)
+    val k = Pareto.filterConfigs(MoseiHigh, pre, maxK = 10)
     val caps = k.map(_.streamCap).distinct
     assert(caps.length >= 2, s"caps=$caps")
     assert(caps.contains(62.0), "must keep a full-coverage config")
@@ -49,7 +49,7 @@ class MoseiSpec extends SparkSpec {
 
   test("static baseline quality rises with machine size on MOSEI") {
     val pre = Skyscraper.preSample(spark, MoseiHigh, 2, 600, 7)
-    val k = Pareto.filterConfigs(MoseiHigh, pre, nSearch = 6, maxK = 10)
+    val k = Pareto.filterConfigs(MoseiHigh, pre, maxK = 10)
     val t = QualityMatrix.trace(spark, MoseiHigh, 2, k)
     val q4  = StaticBaseline.run(t, 4, 4e9, MoseiHigh.bitrateBytesPerSec,
       MoseiHigh.cloudBytesPerSec, MoseiHigh.uplinkBytesPerSec).qualityPct
