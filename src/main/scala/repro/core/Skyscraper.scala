@@ -49,12 +49,9 @@ object Skyscraper {
     val teD = if (testDays > 0) testDays else w.testDays
 
     // 1. Filter knob configurations on a content-diverse pre-sample of the
-    //    training stream: the training prefix of the train+test stream
-    //    where that prefix is the training stream, else a synthesis of its own.
+    //    train+test stream's training prefix.
     val segs = QualityMatrix.segments(w, trD + teD, hyper.seed)
-    val pre =
-      if (prefixIsStream(w, trD, trD + teD, hyper.seed)) preSample(w, segs, trD, hyper.preSampleSize)
-      else preSample(spark, w, trD, hyper.preSampleSize, hyper.seed)
+    val pre = preSample(w, segs, trD, hyper.preSampleSize)
     val k = Pareto.filterConfigs(w, pre, hyper.maxK)
 
     // 2. One quality/cost matrix over train+test for the filtered K.
@@ -80,17 +77,12 @@ object Skyscraper {
     SkyscraperModel(w, k, cats, forecaster, trainCats, costHat, qualHat, hyper)
   }
 
-  /** Whether the `totalDays`-day stream's first `days` days are the `days`-day
-    * stream; not on MOSEI-LONG, whose plateau moves with the stream's end.
-    */
-  def prefixIsStream(w: Workload, days: Int, totalDays: Int, seed: Long): Boolean =
-    w.streamSpec(days, seed) == w.streamSpec(totalDays, seed).copy(days = days)
-
   /** Diverse pre-sample of segments for the config filter (Appendix A.1):
-    * every stride-th segment of the first `days` days of the stream. Only the
-    * picked segments are synthesized, on the driver; `spark` is unused until
-    * `perfbench/`, which calls this signature, moves onto library entry
-    * points (ROADMAP item 1).
+    * every stride-th segment of a `days`-day stream. Only the picked segments
+    * are synthesized, on the driver; `spark` is unused until `perfbench/`,
+    * which calls this signature, moves onto library entry points (ROADMAP
+    * item 1). It equals `fitAndTrace`'s pick from the longer stream's prefix
+    * except on MOSEI-LONG, whose plateau moves with the stream's end.
     */
   def preSample(spark: SparkSession, w: Workload, days: Int, size: Int,
                 seed: Long): Seq[Pareto.Seg] = {
@@ -101,7 +93,9 @@ object Skyscraper {
     }
   }
 
-  /** The same stride pick over the first `days` days of synthesized columns. */
+  /** The same stride pick over the first `days` days of synthesized columns:
+    * the pre-sample `fitAndTrace` filters on.
+    */
   def preSample(w: Workload, segs: QualityMatrix.Segments, days: Int, size: Int): Seq[Pareto.Seg] =
     preSampleIds(w, days, size).takeWhile(_ < segs.n)
       .map(i => Pareto.Seg(i, segs.difficulty(i), segs.load(i), segs.regime(i)))
