@@ -5,8 +5,9 @@ package repro.util
   *
   * Skyscraper clusters |K|-dimensional quality vectors — at most a few
   * thousand points of dimension ≤ 10 — so a driver-local implementation is
-  * appropriate. The data-parallel part (computing the quality vectors over
-  * segments × configurations) runs in Spark (`repro.core.QualityMatrix`).
+  * appropriate. The quality vectors themselves (segments × configurations)
+  * are filled on the driver in a parallel loop over segments
+  * (`repro.core.QualityMatrix`).
   */
 object KMeansLocal {
 

@@ -152,7 +152,6 @@ class SkyscraperSpec extends SparkSpec {
   }
 
   test("the offline fit submits no Spark job") {
-    // Two workloads with different knob grids and stream shapes.
     for (w <- Seq[Workload](Covid, MoseiLong)) {
       val jobs = SkyscraperSpec.sparkJobsOf(spark)(
         Skyscraper.fitAndTrace(spark, w, hyper, trainDays = 2, testDays = 1))
