@@ -10,7 +10,7 @@ import repro.sim._
   * configurations on the most recent segment (that work is charged as local
   * profiling overhead — the "large profiling overheads" §5.3 observes), then
   * until the next profiling window uses the cheapest configuration whose
-  * profiled quality is within `tolerance` of the best profiled quality.
+  * profiled quality is within 10 % of the best profiled quality.
   *
   * Chameleon* is lag-agnostic: it never consults the buffer, so it can and
   * does overflow it — the run result's `overflows` field marks the
@@ -19,8 +19,7 @@ import repro.sim._
 object ChameleonStar {
 
   final class ChameleonController(trace: SegmentTrace, profileEverySegs: Int,
-                                  tolerance: Double, cores: Int,
-                                  headroom: Double) extends Controller {
+                                  cores: Int) extends Controller {
     private var current = cheapestOverall(trace)
     var profilingWork = 0.0
 
@@ -28,18 +27,18 @@ object ChameleonStar {
       if (segIdx % profileEverySegs == 0 && segIdx > 0) {
         // Profile every candidate on the previous segment. Chameleon's
         // profiling only admits configs that approximately meet the frame
-        // deadline on the provisioned hardware (`headroom`× real time —
-        // it exploits the buffer but is not deliberately suicidal); it
-        // still lacks any actual throughput guarantee and can overflow.
+        // deadline on the provisioned hardware (2× real time — it exploits
+        // the buffer but is not deliberately suicidal); it still lacks any
+        // actual throughput guarantee and can overflow.
         val p = segIdx - 1
-        val deadline = headroom * cores * trace.segSec
+        val deadline = 2.0 * cores * trace.segSec
         val admissible = (0 until trace.nConfigs).filter(trace.cost(p, _) <= deadline)
         val extra = (0 until trace.nConfigs).map(trace.cost(p, _)).sum
         profilingWork += extra
         val quals = admissible.map(trace.qual(p, _))
         val best  = quals.max
         current = admissible
-          .filter(k => trace.qual(p, k) >= (1.0 - tolerance) * best)
+          .filter(k => trace.qual(p, k) >= 0.9 * best)
           .minBy(trace.cost(p, _))
         return Decision(current, Placement(0.0), extraLocalWork = extra)
       }
@@ -50,16 +49,13 @@ object ChameleonStar {
   def cheapestOverall(trace: SegmentTrace): Int =
     (0 until trace.nConfigs).minBy(k => Iterator.range(0, trace.nSegments).map(trace.cost(_, k)).sum)
 
-  /** Simulate Chameleon* on `cores`. Default profiling period: 5 minutes,
-    * tolerance 0.1 (accept configs within 10% quality of the profiled best).
-    */
+  /** Simulate Chameleon* on `cores`. Default profiling period: 5 minutes. */
   def run(trace: SegmentTrace, cores: Int, bufferBytes: Double,
           bitrate: Double, cloudBytes: Double, uplink: Double,
-          profileEverySec: Double = 300.0, tolerance: Double = 0.1,
-          headroom: Double = 2.0): RunResult = {
+          profileEverySec: Double = 300.0): RunResult = {
     val everySegs = math.max(1, (profileEverySec / trace.segSec).toInt)
     val sim = new ClusterSim(trace, cores, bufferBytes, 0.0,
       Machines.cloudPerCoreSec(), bitrate, cloudBytes, uplink)
-    sim.run(new ChameleonController(trace, everySegs, tolerance, cores, headroom))
+    sim.run(new ChameleonController(trace, everySegs, cores))
   }
 }

@@ -31,10 +31,22 @@ object Pareto {
   def dominanceFrontier(w: Workload, cands: Seq[ConfigProfile], sample: Seq[Seg],
                         maxLoad: Double): Vector[ConfigProfile] = {
     val uniq = cands.groupBy(_.id).map(_._2.head).toVector
-    val withStats = uniq.map { p =>
-      val q = sample.map(s => w.quality(p, s.segId, s.difficulty, s.load, s.regime)).sum / math.max(1, sample.size)
-      (p, nominalCost(p, maxLoad), q)
-    }
+    frontier(uniq, qualitySums(w, uniq, sample), sample.size, maxLoad)
+  }
+
+  /** Each config's quality summed over `sample` in its order, by config id. */
+  private def qualitySums(w: Workload, cands: Vector[ConfigProfile],
+                          sample: Seq[Seg]): Map[Int, Double] =
+    cands.map { p =>
+      p.id -> sample.map(s => w.quality(p, s.segId, s.difficulty, s.load, s.regime)).sum
+    }.toMap
+
+  /** The configs of `uniq` no other one beats on both cost and mean quality
+    * (`qualSum / n`), sorted by cost.
+    */
+  private def frontier(uniq: Vector[ConfigProfile], qualSum: Map[Int, Double], n: Int,
+                       maxLoad: Double): Vector[ConfigProfile] = {
+    val withStats = uniq.map(p => (p, nominalCost(p, maxLoad), qualSum(p.id) / math.max(1, n)))
     withStats
       .filter { case (p, c, q) =>
         !withStats.exists { case (o, oc, oq) =>
@@ -59,16 +71,18 @@ object Pareto {
     // Per-regime frontiers so specialist configs (great on one content type,
     // mediocre on average) survive — pruning on MEAN quality would drop
     // exactly the configs the knob plan wants to assign to rare categories.
+    // Each regime's quality sums are evaluated once and read by both passes.
+    val profiles = w.profiles.groupBy(_.id).map(_._2.head).toVector
     val byRegime = pre.groupBy(_.regime).values.toSeq
-    val kept = byRegime.flatMap(rs => dominanceFrontier(w, w.profiles, rs, maxLoad))
+      .map(rs => (rs.size, qualitySums(w, profiles, rs)))
+    val kept = byRegime.flatMap { case (n, sums) => frontier(profiles, sums, n, maxLoad) }
       .groupBy(_.id).map(_._2.head).toVector
       .sortBy(nominalCost(_, maxLoad))
 
     // Thin to maxK but always retain the cheapest config and each regime's
     // best config (the plan's per-category workhorses).
-    val mustKeep = (cheapest(w, maxLoad) +: byRegime.map { rs =>
-      kept.maxBy(p => rs.map(s => w.quality(p, s.segId, s.difficulty, s.load, s.regime)).sum)
-    }).groupBy(_.id).map(_._2.head).toVector
+    val best = byRegime.map { case (_, sums) => kept.maxBy(p => sums(p.id)) }
+    val mustKeep = (cheapest(w, maxLoad) +: best).groupBy(_.id).map(_._2.head).toVector
     val thinned = thin(kept, maxK, nominalCost(_: ConfigProfile, maxLoad))
     (thinned ++ mustKeep).groupBy(_.id).map(_._2.head).toVector
       .sortBy(nominalCost(_, maxLoad))

@@ -31,50 +31,83 @@ final case class SkyscraperModel(
     costHat: Array[Array[Double]], // ĉ(c)(k) per-segment core·s
     qualHat: Array[Array[Double]], // q̂(c)(k) expected application quality
     hyper: Hyper,
+    steps: Seq[(String, Double)] = Nil, // wall s per `Skyscraper.Steps` row; Nil if not recorded
 )
 
 /** Offline fitting and online ingestion of Skyscraper (paper §3–4). */
 object Skyscraper {
 
+  /** Paper Table 3's (Appendix E) offline steps, in its order; a fit records
+    * each one's wall seconds in `SkyscraperModel.steps`. "Filter task
+    * placements" runs nothing (0 s): the placement set is `Placement.grid`.
+    */
+  val Steps: Vector[String] = Vector("Filter knob configurations", "Filter task placements",
+    "Compute content categories", "Create forecast training data", "Train forecast model")
+  private final val FilterConfigs = 0
+  private final val Categories    = 2
+  private final val TrainingData  = 3
+  private final val TrainForecast = 4
+
+  /** Adds the wall seconds of each body it runs to that body's step. */
+  private final class StepClock {
+    private val secs = Array.ofDim[Double](Steps.length)
+    def apply[A](step: Int)(body: => A): A = {
+      val t0 = System.nanoTime()
+      try body finally secs(step) += (System.nanoTime() - t0) / 1e9
+    }
+    def steps: Seq[(String, Double)] = Steps.zip(secs)
+  }
+
   /** Run the offline phase on `trainDays` of history and build the traces.
     * Returns (model, trainTrace, testTrace); both traces share the filtered
-    * configuration set K. The whole fit runs on the driver; `spark` is unused
-    * until `perfbench/`, which calls this signature, moves onto library entry
-    * points (ROADMAP item 1).
+    * configuration set K, and the model records each step's wall time. The
+    * whole fit runs on the driver; `spark` is unused until `perfbench/`,
+    * which calls this signature, moves onto library entry points (ROADMAP
+    * item 1).
     */
   def fitAndTrace(spark: SparkSession, w: Workload, hyper: Hyper = Hyper(),
                   trainDays: Int = -1, testDays: Int = -1)
       : (SkyscraperModel, SegmentTrace, SegmentTrace) = {
     val trD = if (trainDays > 0) trainDays else w.trainDays
     val teD = if (testDays > 0) testDays else w.testDays
+    val clock = new StepClock
 
     // 1. Filter knob configurations on a content-diverse pre-sample of the
-    //    train+test stream's training prefix.
-    val segs = QualityMatrix.segments(w, trD + teD, hyper.seed)
-    val pre = preSample(w, segs, trD, hyper.preSampleSize)
-    val k = Pareto.filterConfigs(w, pre, hyper.maxK)
+    //    train+test stream's training prefix. Synthesizing the stream is part
+    //    of the full-data pass (Table 3's forecast training data).
+    val segs = clock(TrainingData)(QualityMatrix.segments(w, trD + teD, hyper.seed))
+    val k = clock(FilterConfigs)(
+      Pareto.filterConfigs(w, preSample(w, segs, trD, hyper.preSampleSize), hyper.maxK))
 
     // 2. One quality/cost matrix over train+test for the filtered K.
-    val full = QualityMatrix.trace(w, segs, k)
-    val split = full.dayStart(trD)
-    val train = full.slice(0, split)
-    val test  = full.slice(split, full.nSegments)
+    val (train, test) = clock(TrainingData) {
+      val full = QualityMatrix.trace(w, segs, k)
+      val split = full.dayStart(trD)
+      (full.slice(0, split), full.slice(split, full.nSegments))
+    }
 
-    val model = fitFromTrace(w, k, train, hyper)
-    (model, train, test)
+    (fit(w, k, train, hyper, clock), train, test)
   }
 
   /** Driver-side offline phase given the training trace. */
   def fitFromTrace(w: Workload, k: Vector[ConfigProfile], train: SegmentTrace,
-                   hyper: Hyper): SkyscraperModel = {
-    val cats      = ContentCategories.fit(train, hyper.nCategories,
-                                          hyper.categorySampleFrac, hyper.seed)
-    val trainCats = ContentCategories.assignOnline(cats, train)
-    val costHat   = meanByCategory(train.cost(_, _), trainCats, cats.n, train)
-    val qualHat   = meanByCategory(train.qual(_, _), trainCats, cats.n, train)
-    val forecaster = new Forecaster(hyper.forecast, cats.n, train.segSec, hyper.seed)
-    forecaster.fit(trainCats)
-    SkyscraperModel(w, k, cats, forecaster, trainCats, costHat, qualHat, hyper)
+                   hyper: Hyper): SkyscraperModel =
+    fit(w, k, train, hyper, new StepClock)
+
+  private def fit(w: Workload, k: Vector[ConfigProfile], train: SegmentTrace,
+                  hyper: Hyper, clock: StepClock): SkyscraperModel = {
+    val cats = clock(Categories)(ContentCategories.fit(train, hyper.nCategories,
+                                                       hyper.categorySampleFrac, hyper.seed))
+    val trainCats = clock(TrainingData)(ContentCategories.assignOnline(cats, train))
+    val (costHat, qualHat) = clock(Categories)((
+      meanByCategory(train.cost(_, _), trainCats, cats.n, train),
+      meanByCategory(train.qual(_, _), trainCats, cats.n, train)))
+    val forecaster = clock(TrainForecast) {
+      val f = new Forecaster(hyper.forecast, cats.n, train.segSec, hyper.seed)
+      f.fit(trainCats)
+      f
+    }
+    SkyscraperModel(w, k, cats, forecaster, trainCats, costHat, qualHat, hyper, clock.steps)
   }
 
   /** Diverse pre-sample of segments for the config filter (Appendix A.1):

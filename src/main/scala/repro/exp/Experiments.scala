@@ -22,12 +22,8 @@ object Experiments {
     val fDays = math.max(0.25, 2.0 * math.min(1.0, scale))
     val fc = ForecastSpec(inputDays = fDays, nSplits = 8, horizonDays = fDays,
                           sampleEveryMin = 15)
-    w match {
-      case _: Mosei => Hyper(nCategories = 5, forecast = fc,
-        categorySampleFrac = 0.10, preSampleSize = 2000)
-      case _ => Hyper(nCategories = 5, forecast = fc,
-        categorySampleFrac = 0.05, preSampleSize = 2000)
-    }
+    Hyper(nCategories = 5, forecast = fc, preSampleSize = 2000,
+          categorySampleFrac = w match { case _: Mosei => 0.10; case _ => 0.05 })
   }
 
   def scale: Double =
@@ -98,63 +94,11 @@ object Experiments {
 
   final case class T3Row(step: String, seconds: Double)
 
-  def table3(spark: SparkSession, w: Workload = Covid): Seq[T3Row] = {
-    val hyper = hyperFor(w)
-    val trD = trainDaysFor(w)
-    def timed[A](body: => A): (A, Double) = {
-      val t0 = System.nanoTime()
-      val r = body
-      (r, (System.nanoTime() - t0) / 1e9)
-    }
-
-    // 1. Filter knob configurations (per-regime exact dominance frontiers).
-    val (pre, _) = timed(Skyscraper.preSample(spark, w, trD, hyper.preSampleSize, hyper.seed))
-    val (k, tFilter) = timed(Pareto.filterConfigs(w, pre, hyper.maxK))
-
-    // 2. Filter task placements: estimate the runtime of every
-    //    config × placement split with the Appendix-M estimator.
-    val (_, tPlace) = timed {
-      val sample = pre.take(200)
-      for (p <- k; pl <- repro.sim.Placement.grid; s <- sample) yield {
-        val work = w.costPerSec(p, s.load) * w.segSec
-        val local = (1 - pl.cloudFrac) * work / 8.0
-        val upload = pl.cloudFrac * w.cloudBytesPerSec * math.min(p.streamCap, s.load) *
-          w.segSec / w.uplinkBytesPerSec
-        math.max(local, upload)
-      }
-    }
-
-    // 3. Compute content categories: process a sample of the unlabeled data
-    //    with ALL kept configs (driver pass) and cluster the quality vectors.
-    val (cats, tCats) = timed {
-      val sampled = QualityMatrix.trace(spark, w,
-        math.max(1, (trD * hyper.categorySampleFrac * 4).toInt), k, hyper.seed + 1)
-      ContentCategories.fit(sampled, hyper.nCategories, 1.0, hyper.seed)
-    }
-
-    // 4. Create forecast training data: process ALL unlabeled data with the
-    //    cheapest config (driver pass), classify, window into training pairs.
-    val ((trainCats, forecaster), tData) = timed {
-      val kMinus = Vector(k.head)
-      val full = QualityMatrix.trace(spark, w, trD, kMinus, hyper.seed)
-      // classify by the cheapest config's reported quality (Appendix H, Eq. 5)
-      val catsArr = Array.tabulate(full.nSegments)(i =>
-        cats.classifyOnline(0, full.report(i, 0)))
-      val f = new Forecaster(hyper.forecast, cats.n, w.segSec, hyper.seed)
-      (catsArr, f)
-    }
-
-    // 5. Train the forecasting model.
-    val (_, tTrain) = timed(forecaster.fit(trainCats))
-
-    Seq(
-      T3Row("Filter knob configurations", tFilter),
-      T3Row("Filter task placements", tPlace),
-      T3Row("Compute content categories", tCats),
-      T3Row("Create forecast training data", tData),
-      T3Row("Train forecast model", tTrain),
-    )
-  }
+  /** The step timings `fitted`'s offline phase recorded, one row per step
+    * (see `Skyscraper.Steps` for what each covers).
+    */
+  def table3(spark: SparkSession, w: Workload = Covid): Seq[T3Row] =
+    fitted(spark, w)._1.steps.map { case (step, s) => T3Row(step, s) }
 
   // ------------------------------------------------------------------
   // Table 4 (Appendix I.1): switcher classification accuracy vs |C|.
@@ -250,12 +194,11 @@ object Experiments {
   def workComparison(spark: SparkSession, w: Workload, vCpus: Int = 8): Seq[WorkRow] = {
     val (model, _, test) = fitted(spark, w)
     val sky = Skyscraper.run(model, test, vCpus, BufferBytes, 0.0)
-    val stIdx = StaticBaseline.bestRealTimeConfig(test, vCpus)
-    val stWork = Iterator.range(0, test.nSegments).map(test.cost(_, stIdx)).sum
-    val stQual = Iterator.range(0, test.nSegments).map(test.qual(_, stIdx)).sum / test.maxTotalQuality
+    val st = StaticBaseline.run(test, vCpus, BufferBytes, w.bitrateBytesPerSec,
+                                w.cloudBytesPerSec, w.uplinkBytesPerSec)
     val opt = Optimum.assign(test, sky.workCoreSec)
     Seq(
-      WorkRow(w.name, "Static", stWork, stQual),
+      WorkRow(w.name, "Static", st.workCoreSec, st.qualityPct),
       WorkRow(w.name, "Skyscraper", sky.workCoreSec, sky.qualityPct),
       WorkRow(w.name, "Optimum", opt.workCoreSec, opt.qualityPct))
   }

@@ -16,17 +16,7 @@ object KMeansLocal {
     def k: Int = centers.length
 
     /** Full-vector nearest-center classification. */
-    def classify(v: Array[Double]): Int = {
-      var best = 0
-      var bestD = Double.MaxValue
-      var c = 0
-      while (c < centers.length) {
-        val d = sqDist(centers(c), v)
-        if (d < bestD) { bestD = d; best = c }
-        c += 1
-      }
-      best
-    }
+    def classify(v: Array[Double]): Int = nearest(centers, v)
 
     /** Single-dimension classification (paper Eq. 5): nearest center along
       * dimension `dim` only — what the knob switcher can observe online.
@@ -42,10 +32,19 @@ object KMeansLocal {
       }
       best
     }
+  }
 
-    /** Distance of v to its nearest center — drift / novel-content signal. */
-    def nearestDistance(v: Array[Double]): Double =
-      math.sqrt(centers.map(sqDist(_, v)).min)
+  /** Index of the center nearest to `v`; a tie goes to the lowest index. */
+  private def nearest(centers: Array[Array[Double]], v: Array[Double]): Int = {
+    var best = 0
+    var bestD = Double.MaxValue
+    var c = 0
+    while (c < centers.length) {
+      val d = sqDist(centers(c), v)
+      if (d < bestD) { bestD = d; best = c }
+      c += 1
+    }
+    best
   }
 
   private def sqDist(a: Array[Double], b: Array[Double]): Double = {
@@ -55,8 +54,11 @@ object KMeansLocal {
     s
   }
 
+  /** Lloyd iterations stop after this many rounds if assignments still change. */
+  private final val MaxIter = 100
+
   /** Fit `k` clusters on `points`; deterministic in (points, k). */
-  def fit(points: Seq[Array[Double]], k: Int, maxIter: Int = 100): Model = {
+  def fit(points: Seq[Array[Double]], k: Int): Model = {
     require(points.nonEmpty, "KMeans on empty point set")
     require(k >= 1, "k must be >= 1")
     val pts  = points.toArray
@@ -66,26 +68,21 @@ object KMeansLocal {
     val dim = pts(0).length
     val mean = Array.ofDim[Double](dim)
     pts.foreach(p => (0 until dim).foreach(i => mean(i) += p(i) / pts.length))
-    val centers = scala.collection.mutable.ArrayBuffer[Array[Double]]()
-    centers += pts.minBy(sqDist(_, mean)).clone()
-    while (centers.length < kEff)
-      centers += pts.maxBy(p => centers.map(sqDist(_, p)).min).clone()
+    val seeds = scala.collection.mutable.ArrayBuffer[Array[Double]]()
+    seeds += pts.minBy(sqDist(_, mean)).clone()
+    while (seeds.length < kEff)
+      seeds += pts.maxBy(p => seeds.map(sqDist(_, p)).min).clone()
+    val centers = seeds.toArray
 
     val assign = Array.ofDim[Int](pts.length)
     var changed = true
     var iter = 0
-    while (changed && iter < maxIter) {
+    while (changed && iter < MaxIter) {
       changed = false
       // Assignment step.
       var i = 0
       while (i < pts.length) {
-        var best = 0; var bestD = Double.MaxValue
-        var c = 0
-        while (c < centers.length) {
-          val d = sqDist(centers(c), pts(i))
-          if (d < bestD) { bestD = d; best = c }
-          c += 1
-        }
+        val best = nearest(centers, pts(i))
         if (assign(i) != best) { assign(i) = best; changed = true }
         i += 1
       }
@@ -104,6 +101,6 @@ object KMeansLocal {
         centers(c) = sums(c).map(_ / counts(c))
       iter += 1
     }
-    Model(centers.map(_.clone()).toArray)
+    Model(centers.map(_.clone()))
   }
 }

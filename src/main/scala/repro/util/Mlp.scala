@@ -106,14 +106,14 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
     lossVal
   }
 
-  /** Epoch-based training with a held-out split; keeps best-validation
+  /** Epoch-based training with a held-out 20 % split; keeps best-validation
     * weights, as the paper does ("weights with the best validation accuracy").
     */
   def fit(data: Seq[(Array[Double], Array[Double])], epochs: Int = 40,
-          lr: Double = 0.05, valSplit: Double = 0.2): Double = {
+          lr: Double = 0.05): Double = {
     if (data.isEmpty) return Double.NaN
     val shuffled = new scala.util.Random(seed ^ 0x5eed).shuffle(data)
-    val nVal  = math.max(1, (shuffled.size * valSplit).toInt)
+    val nVal  = math.max(1, (shuffled.size * 0.2).toInt)
     val (valSet, train) = shuffled.splitAt(nVal)
     var bestVal = Double.MaxValue
     var bestW: Array[Array[Array[Double]]] = null

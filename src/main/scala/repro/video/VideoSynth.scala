@@ -26,37 +26,24 @@ final case class StreamSpec(
     segSec: Double,
     seed: Long               = 7,
     dwellSec: Double         = 40.0,
-    regimeBumps: Vector[Double] = Vector(0.0, 0.12, 0.45, 0.65),
-    baseDifficulty: Double   = 0.05,
-    diurnalAmp: Double       = 0.30,
-    weekendFactor: Double    = 0.75,
-    dayDriftPhi: Double      = 0.75,
-    dayDriftSigma: Double    = 0.12,
-    noiseAmp: Double         = 0.06,
     // Multi-stream load model (MOSEI); None → constant load of 1.
     loadSpec: Option[LoadSpec] = None,
 ) {
   def nSegments: Long = (days.toLong * 86400L / segSec.toLong)
 }
 
-/** Concurrent-stream count model for the MOSEI workloads.
+/** Concurrent-stream count model for the MOSEI workloads: a diurnal mean
+  * of 14 live streams, capped at 62 (the paper's maximum).
   *
-  * @param baseStreams   diurnal mean number of live streams
-  * @param maxStreams    hard cap (62 in the paper)
-  * @param spikeHigh     short, tall peaks: every `highPeriodSec`, a burst of
-  *                      `highLenSec` seconds raises load to `maxStreams`
+  * @param spikeHigh     short, tall peaks: every 3 h, a 7-minute burst raises
+  *                      load to the cap
   * @param spikeLongFrom/To  a single long plateau (seconds from stream start)
-  *                      raising load by `longExtra`
+  *                      raising load by 30 streams
   */
 final case class LoadSpec(
-    baseStreams: Double = 14.0,
-    maxStreams: Double = 62.0,
     spikeHigh: Boolean = false,
-    highPeriodSec: Double = 10800.0,
-    highLenSec: Double = 420.0,
     spikeLongFromSec: Double = -1.0,
     spikeLongToSec: Double = -1.0,
-    longExtra: Double = 30.0,
 )
 
 /** One synthesized video segment: a row of the stream.
@@ -65,7 +52,7 @@ final case class LoadSpec(
   * @param t          seconds from stream start
   * @param day        day index
   * @param hour       hour of day ∈ [0, 24)
-  * @param regime     latent content regime (index into regimeBumps)
+  * @param regime     latent content regime (calm, normal, busy, spike)
   * @param difficulty latent analysis hardness ∈ [0,1]
   * @param load       concurrent streams (1.0 for single-stream)
   */
@@ -81,7 +68,7 @@ final case class Segment(segId: Long, t: Double, day: Int, hour: Double, regime:
   */
 final class SynthLaw(val spec: StreamSpec) extends Serializable {
   private val amps  = VideoSynth.dayAmplitudes(spec)
-  private val bumps = spec.regimeBumps.toArray
+  private val bumps = Array(0.0, 0.12, 0.45, 0.65) // difficulty added per regime
 
   def apply(segId: Long): Segment = {
     val t    = segId.toDouble * spec.segSec
@@ -111,24 +98,22 @@ final class SynthLaw(val spec: StreamSpec) extends Serializable {
 
     val noise = DetHash.uniform(segId, spec.seed, 2L) - 0.5
     val difficulty = math.max(0.0, math.min(1.0,
-      spec.baseDifficulty + spec.diurnalAmp * activity + bumps(regime) + spec.noiseAmp * noise))
+      0.05 + 0.30 * activity + bumps(regime) + 0.06 * noise))
 
     val load = spec.loadSpec match {
       case None => 1.0
       case Some(ls) =>
-        val diurnalLoad = ls.baseStreams * (0.45 + 0.75 * activity)
-        val high =
-          if (ls.spikeHigh && t % ls.highPeriodSec < ls.highLenSec) ls.maxStreams else 0.0
+        val diurnalLoad = 14.0 * (0.45 + 0.75 * activity)
+        val high = if (ls.spikeHigh && t % 10800.0 < 420.0) 62.0 else 0.0
         val long =
-          if (ls.spikeLongFromSec >= 0 && t >= ls.spikeLongFromSec && t < ls.spikeLongToSec)
-            ls.longExtra
+          if (ls.spikeLongFromSec >= 0 && t >= ls.spikeLongFromSec && t < ls.spikeLongToSec) 30.0
           else 0.0
         val jitter = (DetHash.uniform(blockId, spec.seed, 3L) - 0.5) * 4.0
         val streams = math.max(diurnalLoad + jitter + long, high)
         // Half-up on the decimal form (SQL's round), as the digests were pinned.
         val rounded = java.math.BigDecimal.valueOf(streams)
           .setScale(0, java.math.RoundingMode.HALF_UP).doubleValue
-        math.max(1.0, math.min(ls.maxStreams, rounded))
+        math.max(1.0, math.min(62.0, rounded))
     }
 
     Segment(segId, t, day, hour, regime, difficulty, load)
@@ -141,16 +126,17 @@ final class SynthLaw(val spec: StreamSpec) extends Serializable {
 object VideoSynth {
 
   /** Driver-side AR(1) day amplitude series (small: one value per day).
-    * amp_d = 1 + phi·(amp_{d-1}−1) + sigma·η_d, clamped to [0.6, 1.4].
+    * amp_d = 1 + 0.75·(amp_{d-1}−1) + 0.12·η_d, clamped to [0.6, 1.4], then
+    * damped by 0.75 on weekend days.
     */
   def dayAmplitudes(spec: StreamSpec): Array[Double] = {
     val rng = new scala.util.Random(spec.seed * 31 + 17)
     val amps = Array.ofDim[Double](spec.days)
     var prev = 1.0
     for (d <- 0 until spec.days) {
-      val a0 = 1.0 + spec.dayDriftPhi * (prev - 1.0) + spec.dayDriftSigma * rng.nextGaussian()
+      val a0 = 1.0 + 0.75 * (prev - 1.0) + 0.12 * rng.nextGaussian()
       val a1 = math.max(0.6, math.min(1.4, a0))
-      val weekend = if (d % 7 == 5 || d % 7 == 6) spec.weekendFactor else 1.0
+      val weekend = if (d % 7 == 5 || d % 7 == 6) 0.75 else 1.0
       amps(d) = a1 * weekend
       prev = a1
     }

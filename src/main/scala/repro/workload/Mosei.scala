@@ -69,7 +69,7 @@ sealed abstract class Mosei(val variant: String) extends Workload {
 /** Short, tall peaks: every 3 h the load jumps to 62 streams for ~7 min. */
 object MoseiHigh extends Mosei("HIGH") {
   protected def loadSpec(days: Int): LoadSpec =
-    LoadSpec(spikeHigh = true, highPeriodSec = 10800.0, highLenSec = 420.0)
+    LoadSpec(spikeHigh = true)
 }
 
 /** One long plateau: +30 streams for 8 hours starting mid-stream. */
@@ -78,7 +78,6 @@ object MoseiLong extends Mosei("LONG") {
     // Plateau in the final (test) portion of the stream: from 25% into the
     // last two days, lasting 8 hours.
     val from = math.max(0, days - 2) * 86400.0 + 6.0 * 3600
-    LoadSpec(spikeLongFromSec = from, spikeLongToSec = from + 8.0 * 3600,
-             longExtra = 30.0)
+    LoadSpec(spikeLongFromSec = from, spikeLongToSec = from + 8.0 * 3600)
   }
 }

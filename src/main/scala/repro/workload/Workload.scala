@@ -15,7 +15,7 @@ import repro.video.{StreamSpec, VideoSynth}
   *   coverage(k, s) = min(streamCap_k, load_s) / max(load_s, 1)
   *   report(k, s)   = coverage ·
   *                    clamp(exp(−(1−ρ_eff) · sevScale · d_s^sevPow)
-  *                          + noiseAmp·(u(s,k) − 0.5), 0, 1)
+  *                          + 0.04·(u(s,k) − 0.5), 0, 1)
   *   qual(k, s)     = weight(d_s) · report(k, s)
   * }}}
   *
@@ -62,9 +62,8 @@ trait Workload {
   def streamCap(cfg: KnobConfig): Double = Double.PositiveInfinity
 
   /** Severity curve parameters: error impact = sevScale · d^sevPow. */
-  def sevScale: Double = 1.35
-  def sevPow: Double   = 1.8
-  def noiseAmp: Double = 0.04
+  def sevScale: Double
+  def sevPow: Double
 
   /** Quality mass of a segment as a function of its difficulty ∈ [0,1].
     * Single-stream workloads override this (crowded ⇒ hard AND rich);
@@ -151,7 +150,7 @@ trait Workload {
                          load: Double): Double = {
     val coverage = math.min(p.streamCap, load) / math.max(load, 1.0)
     val u = DetHash.uniform(segId, p.cfg.id.toLong + 101, 17L)
-    val q = StrictMath.exp(-(1.0 - rhoEff) * sevScale * dPow) + noiseAmp * (u - 0.5)
+    val q = StrictMath.exp(-(1.0 - rhoEff) * sevScale * dPow) + 0.04 * (u - 0.5)
     coverage * math.max(0.0, math.min(1.0, q))
   }
 }

@@ -38,6 +38,11 @@ class BaselinesSpec extends AnyFunSuite {
     assert(r.overflows == 0)
     assert(r.maxLagSec <= t.segSec + 1e-9)
     assert(r.cloudDollars == 0.0)
+    // Work and quality are the plain sums over the stream, bit for bit.
+    val k = StaticBaseline.bestRealTimeConfig(t, 4)
+    val segs = 0 until t.nSegments
+    assert(r.workCoreSec == segs.map(t.cost(_, k)).sum &&
+           r.qualityPct == segs.map(t.qual(_, k)).sum / t.maxTotalQuality)
   }
 
   test("static quality grows with machine size") {

@@ -35,6 +35,17 @@ class SkyscraperSpec extends SparkSpec {
     assert(math.abs(p.sum - 1.0) < 1e-9)
   }
 
+  test("the fit records the wall time of each Table 3 step") {
+    val t0 = System.nanoTime()
+    val (m, _, _) = Skyscraper.fitAndTrace(spark, Covid, hyper, trainDays = 2, testDays = 1)
+    val wall = (System.nanoTime() - t0) / 1e9
+    assert(m.steps.map(_._1) == Seq("Filter knob configurations", "Filter task placements",
+      "Compute content categories", "Create forecast training data", "Train forecast model"))
+    assert(m.steps.forall(_._2 >= 0), m.steps)
+    assert(m.steps.toMap.apply("Filter task placements") == 0.0)
+    assert(m.steps.map(_._2).sum <= wall, s"${m.steps} in $wall s")
+  }
+
   test("train/test split boundaries are clean") {
     assert(train.nSegments == 2 * 86400 / 2)
     assert(test.nSegments == 86400 / 2)

@@ -45,13 +45,6 @@ class KMeansLocalSpec extends AnyFunSuite {
     assert(m.classifyByDim(0, 5.05) == m.classify(Array(5.05, 100.0)))
   }
 
-  test("nearestDistance is zero at a center and grows away from it") {
-    val pts = Seq(Array(0.0), Array(10.0))
-    val m = KMeansLocal.fit(pts, 2)
-    assert(m.nearestDistance(Array(0.0)) < 1e-9)
-    assert(m.nearestDistance(Array(4.0)) > 3.0)
-  }
-
   test("k larger than point count degrades gracefully") {
     val m = KMeansLocal.fit(Seq(Array(1.0), Array(2.0)), 5)
     assert(m.k == 2)

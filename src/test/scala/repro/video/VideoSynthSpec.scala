@@ -83,7 +83,7 @@ class VideoSynthSpec extends SparkSpec {
   }
 
   test("MOSEI-HIGH load spikes reach the cap and are short") {
-    val ls = LoadSpec(spikeHigh = true, highPeriodSec = 10800, highLenSec = 420)
+    val ls = LoadSpec(spikeHigh = true)
     val high = rows(spec.copy(loadSpec = Some(ls)))
     val atCap = high.count(_.load == 62.0)
     val total = high.length
@@ -94,8 +94,7 @@ class VideoSynthSpec extends SparkSpec {
   }
 
   test("MOSEI-LONG plateau raises load for its whole window") {
-    val ls = LoadSpec(spikeLongFromSec = 3600, spikeLongToSec = 3600 + 8 * 3600,
-                      longExtra = 30)
+    val ls = LoadSpec(spikeLongFromSec = 3600, spikeLongToSec = 3600 + 8 * 3600)
     val long = rows(spec.copy(loadSpec = Some(ls)))
     val in  = mean(long.filter(s => s.t >= 3600 && s.t < 3600 + 8 * 3600).map(_.load))
     val out = mean(long.filter(s => s.t >= 12 * 3600 && s.t < 20 * 3600).map(_.load))
