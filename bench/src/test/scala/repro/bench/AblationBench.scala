@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 import repro.sim.Machines
 import repro.workload._
@@ -16,13 +16,13 @@ import repro.workload._
   *  - Skyscraper's work-quality point sits between Static and the
   *    ground-truth Optimum, close to Optimum.
   */
-class AblationBench extends SparkSpec {
+class AblationBench extends AnyFunSuite {
 
   private def byVariant(rows: Seq[Experiments.AblRow]) =
     rows.map(r => r.variant -> r).toMap
 
   test("Ablation — COVID: buffering and cloud both contribute") {
-    val rows = Experiments.ablation(spark, Covid, vCpus = 4)
+    val rows = Experiments.ablation(Covid, vCpus = 4)
     rows.foreach(r => println(f"${r.workload}%-11s ${r.variant}%-24s " +
       f"${r.qualityPct * 100}%5.1f%%  cloud ${r.cloudDollars}%6.2f$$"))
     val v = byVariant(rows)
@@ -32,7 +32,7 @@ class AblationBench extends SparkSpec {
   }
 
   test("Ablation — MOSEI-HIGH: cloud-only struggles against uplink-bound spikes") {
-    val rows = Experiments.ablation(spark, MoseiHigh, vCpus = 8)
+    val rows = Experiments.ablation(MoseiHigh, vCpus = 8)
     rows.foreach(r => println(f"${r.workload}%-11s ${r.variant}%-24s " +
       f"${r.qualityPct * 100}%5.1f%%  cloud ${r.cloudDollars}%6.2f$$"))
     val v = byVariant(rows)
@@ -43,7 +43,7 @@ class AblationBench extends SparkSpec {
   }
 
   test("Ablation — MOSEI-LONG: buffer-only struggles against the long plateau") {
-    val rows = Experiments.ablation(spark, MoseiLong, vCpus = 8)
+    val rows = Experiments.ablation(MoseiLong, vCpus = 8)
     rows.foreach(r => println(f"${r.workload}%-11s ${r.variant}%-24s " +
       f"${r.qualityPct * 100}%5.1f%%  cloud ${r.cloudDollars}%6.2f$$"))
     val v = byVariant(rows)
@@ -53,8 +53,8 @@ class AblationBench extends SparkSpec {
   }
 
   test("Ablation — cost ratios: cheap cloud helps, expensive cloud hurts") {
-    val cheap = Experiments.ablation(spark, Covid, vCpus = 4, cloudRatio = 1.0)
-    val dear  = Experiments.ablation(spark, Covid, vCpus = 4, cloudRatio = 2.5)
+    val cheap = Experiments.ablation(Covid, vCpus = 4, cloudRatio = 1.0)
+    val dear  = Experiments.ablation(Covid, vCpus = 4, cloudRatio = 2.5)
     val qCheap = byVariant(cheap)("only cloud").qualityPct
     val qDear  = byVariant(dear)("only cloud").qualityPct
     println(f"COVID only-cloud quality: ratio 1:1 → ${qCheap * 100}%5.1f%%, " +
@@ -65,7 +65,7 @@ class AblationBench extends SparkSpec {
 
   test("Work comparison — Skyscraper sits between Static and Optimum") {
     for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong)) {
-      val rows = Experiments.workComparison(spark, w)
+      val rows = Experiments.workComparison(w)
       rows.foreach(r => println(f"${r.workload}%-11s ${r.method}%-11s " +
         f"work ${r.workCoreSec / 1e6}%8.2fM core·s  qual ${r.qualityPct * 100}%5.1f%%"))
       val m = rows.map(r => r.method -> r).toMap

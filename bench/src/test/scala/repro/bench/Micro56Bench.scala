@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 import repro.workload.{Covid, Mot}
 
@@ -10,13 +10,13 @@ import repro.workload.{Covid, Mot}
   * error. Paper: Standard error 2.1% (COVID) / 6.6% (MOT); Type-A residual
   * 0.5% / 3.7% — i.e. the timing mismatch is the dominant driver.
   */
-class Micro56Bench extends SparkSpec {
+class Micro56Bench extends AnyFunSuite {
 
   private val paper = Map("COVID" -> (2.1, 0.5), "MOT" -> (6.6, 3.7))
 
   test("§5.6 — switcher misclassification decomposition") {
     for (w <- Seq(Covid, Mot)) {
-      val r = Experiments.switcherErrors(spark, w)
+      val r = Experiments.switcherErrors(w)
       val (ps, pa) = paper(r.workload)
       println(f"${r.workload}%-6s standard ${r.standardErrPct * 100}%5.2f%% " +
         f"(paper $ps%4.1f%%)   Type-A-only ${r.typeAErrPct * 100}%5.2f%% (paper $pa%4.1f%%)")

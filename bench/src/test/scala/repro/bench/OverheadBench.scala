@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.exp.Experiments
 import repro.sim.{Placement, Probe}
@@ -10,7 +10,7 @@ import repro.workload.Covid
   * below 1 ms per decision and the knob planner (forecast pass + LP) below
   * 1 s; both must hold here too, including at inflated problem sizes.
   */
-class OverheadBench extends SparkSpec {
+class OverheadBench extends AnyFunSuite {
 
   private object FreeProbe extends Probe {
     def lagSec = 0.0; def bufferBytes = 0.0; def bufferCapBytes = 1e12
@@ -21,7 +21,7 @@ class OverheadBench extends SparkSpec {
   }
 
   test("knob switcher decides in well under a millisecond") {
-    val (model, _, _) = Experiments.fitted(spark, Covid)
+    val (model, _, _) = Experiments.fitted(Covid)
     val sw = new KnobSwitcher(model.cats, model.qualHat, Placement.grid)
     sw.setPlan(KnobPlan(Array.fill(model.cats.n)(
       Array.tabulate(model.configs.length)(k => if (k == 0) 1.0 else 0.0))))
@@ -39,7 +39,7 @@ class OverheadBench extends SparkSpec {
   }
 
   test("knob planner (forecast + LP) runs in under a second") {
-    val (model, _, _) = Experiments.fitted(spark, Covid)
+    val (model, _, _) = Experiments.fitted(Covid)
     val t0 = System.nanoTime()
     val r = model.forecaster.predict(model.trainCats, model.trainCats.length)
     val plan = KnobPlanner.plan(Skyscraper.qualHat(model), model.costHat, r,

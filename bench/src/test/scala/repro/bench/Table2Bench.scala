@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 import repro.exp.Experiments.T2Row
 import repro.workload._
@@ -9,7 +9,7 @@ import repro.workload._
   * Static, Chameleon* and Skyscraper on all four workloads across the
   * machine catalogue. Prints measured rows next to the paper's numbers.
   */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends AnyFunSuite {
 
   /** Paper Table 2: (workload, method, vCpus) → (quality %, cloud $). */
   private val paper: Map[(String, String, Int), (Double, Double)] = Map(
@@ -58,7 +58,7 @@ class Table2Bench extends SparkSpec {
     rows.find(r => r.method == method && r.vCpus == vCpus).get.qualityPct
 
   test("Table 2 — COVID") {
-    val rows = Experiments.table2(spark, Covid)
+    val rows = Experiments.table2(Covid)
     report(rows)
     // Shape: Skyscraper on the smallest machine rivals Static on big iron.
     assert(quality(rows, "Skyscraper", 4) > quality(rows, "Static", 4) + 0.10)
@@ -68,21 +68,21 @@ class Table2Bench extends SparkSpec {
   }
 
   test("Table 2 — MOT") {
-    val rows = Experiments.table2(spark, Mot)
+    val rows = Experiments.table2(Mot)
     report(rows)
     assert(quality(rows, "Skyscraper", 4) > quality(rows, "Static", 4) + 0.10)
     assert(quality(rows, "Static", 60) > quality(rows, "Static", 4) + 0.15)
   }
 
   test("Table 2 — MOSEI-HIGH") {
-    val rows = Experiments.table2(spark, MoseiHigh)
+    val rows = Experiments.table2(MoseiHigh)
     report(rows)
     assert(quality(rows, "Skyscraper", 4) > quality(rows, "Static", 4))
     assert(quality(rows, "Skyscraper", 60) > quality(rows, "Static", 60))
   }
 
   test("Table 2 — MOSEI-LONG") {
-    val rows = Experiments.table2(spark, MoseiLong)
+    val rows = Experiments.table2(MoseiLong)
     report(rows)
     assert(quality(rows, "Skyscraper", 8) > quality(rows, "Static", 8))
   }
@@ -93,7 +93,7 @@ class Table2Bench extends SparkSpec {
     // same way: over all Skyscraper rows, the best ratio of (cheapest Static
     // reaching that quality) to the Skyscraper row's cost.
     for (w <- Seq[Workload](Covid, Mot)) {
-      val rows = Experiments.table2(spark, w)
+      val rows = Experiments.table2(w)
       val factors = rows.filter(_.method == "Skyscraper").flatMap { sky =>
         rows
           .filter(r => r.method == "Static" && r.qualityPct >= sky.qualityPct - 0.03)
@@ -116,8 +116,8 @@ class Table2Bench extends SparkSpec {
   }
 
   test("Appendix G: VideoStorm* tracks the static baseline") {
-    val vs = Experiments.videoStorm(spark, Covid)
-    val rows = Experiments.table2(spark, Covid)
+    val vs = Experiments.videoStorm(Covid)
+    val rows = Experiments.table2(Covid)
     report(vs)
     for (m <- Seq(4, 8, 16)) {
       val v = quality(vs, "VideoStorm*", m)

@@ -1,15 +1,15 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 
 /** Table 3 (Appendix E): runtimes of the offline-phase steps for COVID.
   * Absolute times differ from the paper (their steps run CV models on two
-  * 60-vCPU machines; ours run the analytic substrate on local Spark) — the
+  * 60-vCPU machines; ours run the analytic substrate on the driver) — the
   * reproduced property is the breakdown shape: creating the forecast
   * training data (the full-data pass) dominates.
   */
-class Table3Bench extends SparkSpec {
+class Table3Bench extends AnyFunSuite {
 
   private val paperSeconds = Map(
     "Filter knob configurations" -> 6.0 * 60,
@@ -20,7 +20,7 @@ class Table3Bench extends SparkSpec {
   )
 
   test("Table 3 — offline step runtimes (COVID)") {
-    val rows = Experiments.table3(spark)
+    val rows = Experiments.table3()
     println(f"${"step"}%-32s measured   paper")
     rows.foreach { r =>
       println(f"${r.step}%-32s ${r.seconds}%7.2fs   ${paperSeconds(r.step)}%7.0fs")

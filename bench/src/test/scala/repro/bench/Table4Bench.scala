@@ -1,17 +1,17 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 
 /** Table 4 (Appendix I.1): knob-switcher content-classification accuracy for
   * a varying number of content categories, COVID workload.
   */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends AnyFunSuite {
 
   private val paper = Map(1 -> 1.000, 2 -> 0.988, 3 -> 0.979, 4 -> 0.972, 8 -> 0.959)
 
   test("Table 4 — switcher accuracy vs number of categories (COVID)") {
-    val rows = Experiments.table4(spark)
+    val rows = Experiments.table4()
     println(f"${"categories"}%-11s measured   paper")
     rows.foreach(r => println(f"${r.nCategories}%-11d ${r.accuracy * 100}%7.1f%%   ${paper(r.nCategories) * 100}%5.1f%%"))
 

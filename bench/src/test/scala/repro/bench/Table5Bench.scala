@@ -1,20 +1,20 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 
 /** Table 5 (Appendix I.3): forecasting MAE for planned-interval lengths of
   * {1, 2, 4, 8} days on COVID and MOT. The paper's shape: a sweet spot at
   * 2 days, clearly worst at 8 days.
   */
-class Table5Bench extends SparkSpec {
+class Table5Bench extends AnyFunSuite {
 
   private val paper = Map(
     ("COVID", 1) -> 0.097, ("COVID", 2) -> 0.042, ("COVID", 4) -> 0.066, ("COVID", 8) -> 0.149,
     ("MOT", 1) -> 0.108, ("MOT", 2) -> 0.064, ("MOT", 4) -> 0.133, ("MOT", 8) -> 0.185)
 
   test("Table 5 — forecast MAE vs planned-interval length") {
-    val rows = Experiments.table5(spark)
+    val rows = Experiments.table5()
     println(f"${"workload"}%-9s horizon  measuredMAE  paperMAE")
     rows.foreach(r => println(
       f"${r.workload}%-9s ${r.horizonDays}%5dd   ${r.mae}%9.4f   ${paper((r.workload, r.horizonDays))}%7.3f"))

@@ -1,13 +1,13 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Experiments
 
 /** Table 6 (Appendix I.3): forecasting MAE (2-day horizon) for different
   * input spans × input split counts, COVID. The paper's takeaway: with 8
   * input splits the MAE is uniformly low regardless of the input span.
   */
-class Table6Bench extends SparkSpec {
+class Table6Bench extends AnyFunSuite {
 
   private val paper = Map(
     (0.5, 1) -> 0.055, (0.5, 2) -> 0.169, (0.5, 4) -> 0.179, (0.5, 8) -> 0.052,
@@ -17,7 +17,7 @@ class Table6Bench extends SparkSpec {
     (8.0, 1) -> 0.062, (8.0, 2) -> 0.056, (8.0, 4) -> 0.137, (8.0, 8) -> 0.048)
 
   test("Table 6 — forecast MAE vs input features (COVID)") {
-    val rows = Experiments.table6(spark)
+    val rows = Experiments.table6()
     println(f"inputDays  splits  measuredMAE  paperMAE")
     rows.foreach(r => println(
       f"${r.inputDays}%8.1f  ${r.splits}%5d   ${r.mae}%9.4f   ${paper((r.inputDays, r.splits))}%7.3f"))

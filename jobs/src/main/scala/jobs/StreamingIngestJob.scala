@@ -20,7 +20,7 @@ object StreamingIngestJob {
     val cores = if (args.length > 3) args(3).toInt else 8
 
     val spark = JobSession.spark("vetl-streaming-ingest")
-    val (model, _, _) = Experiments.fitted(spark, Covid)
+    val (model, _, _) = Experiments.fitted(Covid)
 
     // One knob plan up front (the planner would refresh it every 2 days).
     val r = model.forecaster.predict(model.trainCats, model.trainCats.length)

@@ -16,6 +16,10 @@ import repro.sim.{Decision, Placement, Probe}
 final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
                          placements: Vector[Placement]) {
   private val nConfigs = qualHat(0).length
+  // Placements cheapest first, for every config: a probe prices the cloud as
+  // work · cloudFrac · price with work, price ≥ 0, so cloudFrac order is
+  // cloud-cost order.
+  private val byCloudCost = placements.sortBy(_.cloudFrac)
 
   private var plan: KnobPlan = _
   private val usedCounts = Array.ofDim[Double](cats.n, nConfigs)
@@ -30,11 +34,11 @@ final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
   def usedFrac(c: Int, k: Int): Double =
     if (usedTotals(c) <= 0) 0.0 else usedCounts(c)(k) / usedTotals(c)
 
-  /** Quality rank of configs on the current category, best first — the
-    * "next less qualitative" order for the degradation fallback.
+  /** Quality rank of configs per category, best first — the "next less
+    * qualitative" order for the degradation fallback.
     */
-  private def qualityOrder(c: Int): Seq[Int] =
-    (0 until nConfigs).sortBy(k => -qualHat(c)(k))
+  private val qualityOrder: Array[Seq[Int]] =
+    qualHat.map(q => (0 until nConfigs).sortBy(k => -q(k)))
 
   def choose(probe: Probe): Decision = {
     require(plan != null, "knob plan not set")
@@ -45,7 +49,7 @@ final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
 
     // Fallback chain: kNext, then configs of decreasing expected quality.
     val order = kNext +: qualityOrder(c).filterNot(_ == kNext)
-    for (k <- order; p <- placements.sortBy(probe.cloudCost(k, _)))
+    for (k <- order; p <- byCloudCost)
       if (probe.feasible(k, p)) return Decision(k, p)
 
     // Nothing fits (should not happen when the cheapest config is

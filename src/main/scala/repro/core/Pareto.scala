@@ -66,7 +66,7 @@ object Pareto {
     * is affordable, and unlike a climb it is not stranded at the cheap end by
     * the wide quality plateaus the substrate's robustness shaping creates.
     */
-  def filterConfigs(w: Workload, pre: Seq[Seg], maxK: Int = 10): Vector[ConfigProfile] = {
+  def filterConfigs(w: Workload, pre: Seq[Seg], maxK: Int): Vector[ConfigProfile] = {
     val maxLoad = if (pre.isEmpty) 1.0 else pre.map(_.load).max
     // Per-regime frontiers so specialist configs (great on one content type,
     // mediocre on average) survive — pruning on MEAN quality would drop

@@ -61,13 +61,10 @@ object Skyscraper {
   /** Run the offline phase on `trainDays` of history and build the traces.
     * Returns (model, trainTrace, testTrace); both traces share the filtered
     * configuration set K, and the model records each step's wall time. The
-    * whole fit runs on the driver; `spark` is unused until `perfbench/`,
-    * which calls this signature, moves onto library entry points (ROADMAP
-    * item 1).
+    * whole fit runs on the driver.
     */
-  def fitAndTrace(spark: SparkSession, w: Workload, hyper: Hyper = Hyper(),
-                  trainDays: Int = -1, testDays: Int = -1)
-      : (SkyscraperModel, SegmentTrace, SegmentTrace) = {
+  def fitAndTrace(w: Workload, hyper: Hyper = Hyper(), trainDays: Int = -1,
+                  testDays: Int = -1): (SkyscraperModel, SegmentTrace, SegmentTrace) = {
     val trD = if (trainDays > 0) trainDays else w.trainDays
     val teD = if (testDays > 0) testDays else w.testDays
     val clock = new StepClock
@@ -88,6 +85,12 @@ object Skyscraper {
 
     (fit(w, k, train, hyper, clock), train, test)
   }
+
+  /** The same fit; `spark` is unused. Kept for `perfbench/` (ROADMAP item 1). */
+  @deprecated("spark is unused; call fitAndTrace(w, hyper, trainDays, testDays)", "0.1.0")
+  def fitAndTrace(spark: SparkSession, w: Workload, hyper: Hyper, trainDays: Int,
+                  testDays: Int): (SkyscraperModel, SegmentTrace, SegmentTrace) =
+    fitAndTrace(w, hyper, trainDays, testDays)
 
   /** Driver-side offline phase given the training trace. */
   def fitFromTrace(w: Workload, k: Vector[ConfigProfile], train: SegmentTrace,
@@ -112,10 +115,10 @@ object Skyscraper {
 
   /** Diverse pre-sample of segments for the config filter (Appendix A.1):
     * every stride-th segment of a `days`-day stream. Only the picked segments
-    * are synthesized, on the driver; `spark` is unused until `perfbench/`,
-    * which calls this signature, moves onto library entry points (ROADMAP
-    * item 1). It equals `fitAndTrace`'s pick from the longer stream's prefix
-    * except on MOSEI-LONG, whose plateau moves with the stream's end.
+    * are synthesized, on the driver; `spark` is unused. Kept only because
+    * `perfbench/` calls this signature (ROADMAP item 1). It equals
+    * `fitAndTrace`'s pick from the longer stream's prefix except on
+    * MOSEI-LONG, whose plateau moves with the stream's end.
     */
   def preSample(spark: SparkSession, w: Workload, days: Int, size: Int,
                 seed: Long): Seq[Pareto.Seg] = {

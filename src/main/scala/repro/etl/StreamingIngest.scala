@@ -58,8 +58,7 @@ final class StreamingIngest(model: SkyscraperModel, plan: KnobPlan) {
       chosenLog += cfgIdx
       val p = model.configs(cfgIdx)
       val sampleEvery = StreamingIngest.sampleEveryOf(p)
-      val (det, _, qual) =
-        VetlPipeline.runConfig(batch.sparkSession, model.workload, batch, p, sampleEvery)
+      val (det, _, qual) = VetlPipeline.runConfig(model.workload, batch, p, sampleEvery)
       det.withColumn("cfgId", lit(p.id))
         .write.mode("append").parquet(outputDir)
       val meanQ = qual.agg(avg("quality")).collect()(0).getDouble(0)

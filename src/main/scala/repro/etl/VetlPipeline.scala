@@ -1,8 +1,7 @@
 package repro.etl
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.util.DetHash
 import repro.workload.{ConfigProfile, Workload}
 
 /** The V-ETL Transform and Load steps as Spark DataFrame transformations.
@@ -50,7 +49,7 @@ object VetlPipeline {
     * @param sampleEvery process every n-th frame (30/fps for the workloads)
     */
   def transform(objectsDf: DataFrame, p: ConfigProfile, sampleEvery: Int): DataFrame = {
-    val u = DetHash.uniformCol(col("segId"), col("objId") + lit(7L), col("frameNo"))
+    val u = DetHashSql.uniformCol(col("segId"), col("objId") + lit(7L), col("frameNo"))
     objectsDf
       .where(pmod(col("frameNo"), lit(sampleEvery)) === 0)
       .where(u < detectProbCol(p, col("difficulty")))
@@ -61,8 +60,8 @@ object VetlPipeline {
     * detections per segment, over the named `objects` table.
     */
   def transformCountsSql(p: ConfigProfile, sampleEvery: Int): String = {
-    val u = DetHash.uniformSql("CAST(segId AS BIGINT)", "CAST(objId AS BIGINT) + 7",
-                               "CAST(frameNo AS BIGINT)")
+    val u = DetHashSql.uniformSql("CAST(segId AS BIGINT)", "CAST(objId AS BIGINT) + 7",
+                                  "CAST(frameNo AS BIGINT)")
     val prob = s"GREATEST(0.05, LEAST(1.0, 1.0 - ${1.0 - p.rho} * CAST(difficulty AS DOUBLE)))"
     s"""SELECT CAST(segId AS BIGINT) AS segId, COUNT(*) AS detections
        |FROM objects
@@ -110,8 +109,8 @@ object VetlPipeline {
   /** Full E2E run of the pipeline for one config over a segments DataFrame;
     * returns (detections, loaded counts, per-segment quality).
     */
-  def runConfig(spark: SparkSession, w: Workload, segments: DataFrame,
-                p: ConfigProfile, sampleEvery: Int): (DataFrame, DataFrame, DataFrame) = {
+  def runConfig(w: Workload, segments: DataFrame, p: ConfigProfile,
+                sampleEvery: Int): (DataFrame, DataFrame, DataFrame) = {
     val objs = objects(w, segments)
     val det  = transform(objs, p, sampleEvery)
     (det, loadCounts(det), reportedQuality(objs, det, sampleEvery))

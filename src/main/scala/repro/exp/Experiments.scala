@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
 import repro.core._
 import repro.sim.Machines
@@ -39,11 +38,9 @@ object Experiments {
     .empty[String, (SkyscraperModel, SegmentTrace, SegmentTrace)]
 
   /** Offline-fit Skyscraper and build train/test traces (memoized). */
-  def fitted(spark: SparkSession, w: Workload)
-      : (SkyscraperModel, SegmentTrace, SegmentTrace) =
-    cache.getOrElseUpdate(s"${w.name}@$scale", {
-      Skyscraper.fitAndTrace(spark, w, hyperFor(w), trainDaysFor(w), testDaysFor(w))
-    })
+  def fitted(w: Workload): (SkyscraperModel, SegmentTrace, SegmentTrace) =
+    cache.getOrElseUpdate(s"${w.name}@$scale",
+      Skyscraper.fitAndTrace(w, hyperFor(w), trainDaysFor(w), testDaysFor(w)))
 
   // ------------------------------------------------------------------
   // Table 2 (Appendix C / Fig. 4, §5.3): cost & quality per system.
@@ -60,8 +57,8 @@ object Experiments {
   def onPremDollars(m: repro.sim.Machine, testDays: Int): Double =
     Machines.onPremDollars(m, testDays * 24.0)
 
-  def table2(spark: SparkSession, w: Workload): Seq[T2Row] = {
-    val (model, _, test) = fitted(spark, w)
+  def table2(w: Workload): Seq[T2Row] = {
+    val (model, _, test) = fitted(w)
     val testDays = testDaysFor(w)
     val rows = scala.collection.mutable.ArrayBuffer[T2Row]()
 
@@ -97,8 +94,8 @@ object Experiments {
   /** The step timings `fitted`'s offline phase recorded, one row per step
     * (see `Skyscraper.Steps` for what each covers).
     */
-  def table3(spark: SparkSession, w: Workload = Covid): Seq[T3Row] =
-    fitted(spark, w)._1.steps.map { case (step, s) => T3Row(step, s) }
+  def table3(w: Workload = Covid): Seq[T3Row] =
+    fitted(w)._1.steps.map { case (step, s) => T3Row(step, s) }
 
   // ------------------------------------------------------------------
   // Table 4 (Appendix I.1): switcher classification accuracy vs |C|.
@@ -106,8 +103,8 @@ object Experiments {
 
   final case class T4Row(nCategories: Int, accuracy: Double)
 
-  def table4(spark: SparkSession, w: Workload = Covid): Seq[T4Row] = {
-    val (_, train, test) = fitted(spark, w)
+  def table4(w: Workload = Covid): Seq[T4Row] = {
+    val (_, train, test) = fitted(w)
     for (n <- Seq(1, 2, 3, 4, 8)) yield {
       val cats = ContentCategories.fit(train, n, hyperFor(w).categorySampleFrac)
       val full   = ContentCategories.assignFull(cats, test)
@@ -123,11 +120,11 @@ object Experiments {
 
   final case class T5Row(workload: String, horizonDays: Int, mae: Double)
 
-  def table5(spark: SparkSession, ws: Seq[Workload] = Seq(Covid, Mot)): Seq[T5Row] =
+  def table5(ws: Seq[Workload] = Seq(Covid, Mot)): Seq[T5Row] =
     // Horizons longer than the test stream have no evaluable forecast
     // windows; at full scale (8 test days) all four horizons run.
     for (w <- ws; h <- Seq(1, 2, 4, 8) if h <= testDaysFor(w)) yield {
-      val (model, train, test) = fitted(spark, w)
+      val (model, train, test) = fitted(w)
       val testCats = ContentCategories.assignOnline(model.cats, test)
       val all = model.trainCats ++ testCats
       val spec = hyperFor(w).forecast.copy(horizonDays = h.toDouble)
@@ -144,8 +141,8 @@ object Experiments {
 
   final case class T6Row(inputDays: Double, splits: Int, mae: Double)
 
-  def table6(spark: SparkSession, w: Workload = Covid): Seq[T6Row] = {
-    val (model, _, test) = fitted(spark, w)
+  def table6(w: Workload = Covid): Seq[T6Row] = {
+    val (model, _, test) = fitted(w)
     val testCats = ContentCategories.assignOnline(model.cats, test)
     val all = model.trainCats ++ testCats
     // Input spans beyond the training history cannot be featurized; at full
@@ -168,9 +165,9 @@ object Experiments {
                           qualityPct: Double, cloudDollars: Double,
                           workCoreSec: Double)
 
-  def ablation(spark: SparkSession, w: Workload, vCpus: Int = 8,
+  def ablation(w: Workload, vCpus: Int = 8,
                cloudRatio: Double = Machines.cloudRatio): Seq[AblRow] = {
-    val (model, _, test) = fitted(spark, w)
+    val (model, _, test) = fitted(w)
     val onPrem = onPremDollars(Machines.catalogue.find(_.vCpus == vCpus).get, testDaysFor(w))
     val budget = 0.25 * onPrem
     val variants = Seq(
@@ -191,8 +188,8 @@ object Experiments {
   final case class WorkRow(workload: String, method: String, workCoreSec: Double,
                            qualityPct: Double)
 
-  def workComparison(spark: SparkSession, w: Workload, vCpus: Int = 8): Seq[WorkRow] = {
-    val (model, _, test) = fitted(spark, w)
+  def workComparison(w: Workload, vCpus: Int = 8): Seq[WorkRow] = {
+    val (model, _, test) = fitted(w)
     val sky = Skyscraper.run(model, test, vCpus, BufferBytes, 0.0)
     val st = StaticBaseline.run(test, vCpus, BufferBytes, w.bitrateBytesPerSec,
                                 w.cloudBytesPerSec, w.uplinkBytesPerSec)
@@ -213,8 +210,8 @@ object Experiments {
     */
   final case class T56Row(workload: String, standardErrPct: Double, typeAErrPct: Double)
 
-  def switcherErrors(spark: SparkSession, w: Workload): T56Row = {
-    val (model, _, test) = fitted(spark, w)
+  def switcherErrors(w: Workload): T56Row = {
+    val (model, _, test) = fitted(w)
     val cats = model.cats
     val dim = cats.discriminatorDim
     val truth   = ContentCategories.assignFull(cats, test)
@@ -229,8 +226,8 @@ object Experiments {
   }
 
   /** Appendix G: VideoStorm on a static V-ETL job behaves like Static. */
-  def videoStorm(spark: SparkSession, w: Workload): Seq[T2Row] = {
-    val (_, _, test) = fitted(spark, w)
+  def videoStorm(w: Workload): Seq[T2Row] = {
+    val (_, _, test) = fitted(w)
     val testDays = testDaysFor(w)
     Machines.catalogue.map { m =>
       val r = VideoStormStar.run(test, m.vCpus, BufferBytes, w.bitrateBytesPerSec,

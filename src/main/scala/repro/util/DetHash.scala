@@ -1,10 +1,7 @@
 package repro.util
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
-/** Deterministic integer hash → U[0,1), available both as a Scala function
-  * and as a Spark/DuckDB-portable SQL expression.
+/** Deterministic integer hash → U[0,1). Its Spark Column and DuckDB SQL
+  * twins are [[repro.etl.DetHashSql]].
   *
   * The V-ETL synthetic substrate needs per-(segment, frame, object)
   * pseudo-randomness that is (a) reproducible across runs, (b) identical when
@@ -16,9 +13,9 @@ object DetHash {
   /** Modulus of the hash lattice; u = h / M ∈ [0, 1). */
   val M: Long = 1000003L // prime
 
-  private val A = 48271L     // Lehmer multiplier
-  private val B = 16807L
-  private val C = 69621L
+  private[repro] final val A = 48271L // Lehmer multiplier
+  private[repro] final val B = 16807L
+  private[repro] final val C = 69621L
 
   /** Mix three coordinates into [0, M). Pure, overflow-safe for |x| < 2^40.
     * Uses floored modulo so negative coordinates agree with SQL `pmod`.
@@ -35,35 +32,4 @@ object DetHash {
 
   /** Uniform draw in [0,1) from three coordinates. */
   def uniform(x: Long, y: Long, z: Long): Double = mix(x, y, z).toDouble / M
-
-  /** Same mix as a Column expression (portable arithmetic only). */
-  def mixCol(x: Column, y: Column, z: Column): Column = {
-    val a = pmod(pmod(x, lit(M)) * A, lit(M))
-    val b = pmod(pmod(y, lit(M)) * B, lit(M))
-    val c = pmod(pmod(z, lit(M)) * C, lit(M))
-    val s = pmod(a + b + c + lit(12345L), lit(M))
-    pmod(s * A + lit(7L), lit(M))
-  }
-
-  /** Uniform [0,1) Column from three integer Columns. */
-  def uniformCol(x: Column, y: Column, z: Column): Column =
-    mixCol(x, y, z).cast("double") / lit(M.toDouble)
-
-  /** SQL text of the mix, for the DuckDB side of oracle checks.
-    * `x`,`y`,`z` are SQL expressions yielding integers.
-    */
-  def mixSql(x: String, y: String, z: String): String = {
-    // CAST to BIGINT: DuckDB types bare integer literals as INT32 and raises
-    // on multiplication overflow instead of promoting.
-    def pm(e: String): String = s"((($e) % $M + $M) % $M)"
-    def big(e: String): String = s"CAST(($e) AS BIGINT)"
-    val a = pm(s"${pm(big(x))} * $A")
-    val b = pm(s"${pm(big(y))} * $B")
-    val c = pm(s"${pm(big(z))} * $C")
-    val s = pm(s"$a + $b + $c + 12345")
-    pm(s"$s * $A + 7")
-  }
-
-  def uniformSql(x: String, y: String, z: String): String =
-    s"(CAST(${mixSql(x, y, z)} AS DOUBLE) / $M.0)"
 }

@@ -1,15 +1,14 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.workload.Covid
 
-class ContentCategoriesSpec extends SparkSpec {
+class ContentCategoriesSpec extends AnyFunSuite {
 
-  private lazy val configs = {
-    val pre = Skyscraper.preSample(spark, Covid, 1, 500, seed = 7)
-    Pareto.filterConfigs(Covid, pre)
-  }
-  private lazy val trace = QualityMatrix.trace(spark, Covid, 2, configs)
+  private lazy val segs = QualityMatrix.segments(Covid, 2, seed = 7)
+  private lazy val configs =
+    Pareto.filterConfigs(Covid, Skyscraper.preSample(Covid, segs, 1, 500), maxK = 10)
+  private lazy val trace = QualityMatrix.trace(Covid, segs, configs)
   private lazy val cats  = ContentCategories.fit(trace, nCategories = 3)
 
   test("fit produces the requested number of categories") {

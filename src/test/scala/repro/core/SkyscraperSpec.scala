@@ -19,7 +19,7 @@ class SkyscraperSpec extends SparkSpec {
     preSampleSize = 800)
 
   private lazy val (model, train, test) =
-    Skyscraper.fitAndTrace(spark, Covid, hyper, trainDays = 2, testDays = 1)
+    Skyscraper.fitAndTrace(Covid, hyper, trainDays = 2, testDays = 1)
 
   private def run(cores: Int, cloud: Double = 0.0, useBuffer: Boolean = true,
                   useCloud: Boolean = true) =
@@ -37,7 +37,7 @@ class SkyscraperSpec extends SparkSpec {
 
   test("the fit records the wall time of each Table 3 step") {
     val t0 = System.nanoTime()
-    val (m, _, _) = Skyscraper.fitAndTrace(spark, Covid, hyper, trainDays = 2, testDays = 1)
+    val (m, _, _) = Skyscraper.fitAndTrace(Covid, hyper, trainDays = 2, testDays = 1)
     val wall = (System.nanoTime() - t0) / 1e9
     assert(m.steps.map(_._1) == Seq("Filter knob configurations", "Filter task placements",
       "Compute content categories", "Create forecast training data", "Train forecast model"))
@@ -152,7 +152,7 @@ class SkyscraperSpec extends SparkSpec {
     val h = hyper.copy(preSampleSize = 500)
     for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong)) {
       val prefix = Skyscraper.preSample(w, QualityMatrix.segments(w, 3, h.seed), 2, 500)
-      val (m, _, _) = Skyscraper.fitAndTrace(spark, w, h, trainDays = 2, testDays = 1)
+      val (m, _, _) = Skyscraper.fitAndTrace(w, h, trainDays = 2, testDays = 1)
       assert(m.configs == Pareto.filterConfigs(w, prefix, h.maxK), w.name)
       // The Spark overload synthesizes a 2-day stream of its own: the same
       // segments, except on MOSEI-LONG, whose plateau moves with the
@@ -165,7 +165,7 @@ class SkyscraperSpec extends SparkSpec {
   test("the offline fit submits no Spark job") {
     for (w <- Seq[Workload](Covid, MoseiLong)) {
       val jobs = SkyscraperSpec.sparkJobsOf(spark)(
-        Skyscraper.fitAndTrace(spark, w, hyper, trainDays = 2, testDays = 1))
+        Skyscraper.fitAndTrace(w, hyper, trainDays = 2, testDays = 1))
       assert(jobs == 0, s"${w.name}: $jobs Spark jobs")
     }
   }
@@ -186,7 +186,7 @@ class SkyscraperSpec extends SparkSpec {
     )
     val got = (for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong);
                     seed <- Seq(7L, 1301L)) yield {
-      val (m, _, _) = Skyscraper.fitAndTrace(spark, w, SkyscraperSpec.digestHyper.copy(seed = seed),
+      val (m, _, _) = Skyscraper.fitAndTrace(w, SkyscraperSpec.digestHyper.copy(seed = seed),
                                              trainDays = 2, testDays = 1)
       (w.name, seed) -> m.configs.map(_.id)
     }).toMap
@@ -198,7 +198,7 @@ class SkyscraperSpec extends SparkSpec {
     // intended behaviour change updates them and says so in CHANGES.md.
     val pinned = Map("COVID" -> "4deadbd36899a705", "MOT" -> "4e1933d1d0d30505")
     val got = Seq[Workload](Covid, Mot).map { w =>
-      val (m, tr, te) = Skyscraper.fitAndTrace(spark, w, SkyscraperSpec.digestHyper,
+      val (m, tr, te) = Skyscraper.fitAndTrace(w, SkyscraperSpec.digestHyper,
                                                trainDays = 4, testDays = 2)
       w.name -> SkyscraperSpec.digest(m, tr, te)
     }.toMap

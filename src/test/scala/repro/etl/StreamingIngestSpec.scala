@@ -18,7 +18,7 @@ class StreamingIngestSpec extends SparkSpec {
     preSampleSize = 400)
 
   private lazy val (model, _, _) =
-    Skyscraper.fitAndTrace(spark, Covid, hyper, trainDays = 1, testDays = 1)
+    Skyscraper.fitAndTrace(Covid, hyper, trainDays = 1, testDays = 1)
 
   /** A plan that prefers the top config on hard content and the cheapest on
     * easy content, so adaptation is observable.

@@ -66,8 +66,8 @@ class VetlPipelineSpec extends SparkSpec {
   }
 
   test("reported quality lies in [0,1] and tracks robustness") {
-    val (_, _, qLow) = VetlPipeline.runConfig(spark, Covid, segments, lowCfg, 6)
-    val (_, _, qTop) = VetlPipeline.runConfig(spark, Covid, segments, topCfg, 6)
+    val (_, _, qLow) = VetlPipeline.runConfig(Covid, segments, lowCfg, 6)
+    val (_, _, qTop) = VetlPipeline.runConfig(Covid, segments, topCfg, 6)
     val badRange = qLow.where(col("quality") < 0 || col("quality") > 1).count()
     assert(badRange == 0)
     val mLow = qLow.agg(avg("quality")).collect()(0).getDouble(0)
@@ -76,7 +76,7 @@ class VetlPipelineSpec extends SparkSpec {
   }
 
   test("reported quality is lower on difficult segments (cheap config)") {
-    val (_, _, q) = VetlPipeline.runConfig(spark, Covid, segments, lowCfg, 6)
+    val (_, _, q) = VetlPipeline.runConfig(Covid, segments, lowCfg, 6)
     val j = q.join(segments.select("segId", "difficulty"), "segId")
     val hard = j.where(col("difficulty") > 0.6).agg(avg("quality")).collect()(0).getDouble(0)
     val easy = j.where(col("difficulty") < 0.2).agg(avg("quality")).collect()(0).getDouble(0)

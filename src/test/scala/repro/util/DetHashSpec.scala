@@ -1,12 +1,10 @@
 package repro.util
 
-import java.sql.DriverManager
-import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class DetHashSpec extends SparkSpec {
+class DetHashSpec extends AnyFunSuite {
 
   private def samples[A](gen: Gen[A], n: Int, seed: Long = 1): Seq[A] =
     (0 until n).flatMap(i => gen.apply(Gen.Parameters.default, Seed(seed + i)))
@@ -37,50 +35,5 @@ class DetHashSpec extends SparkSpec {
     val vals = (0 until 1000).map(i => DetHash.uniform(i, 42, 7))
     val diffs = vals.sliding(2).count { case Seq(a, b) => math.abs(a - b) < 0.01 }
     assert(diffs < 50, s"too many near-equal neighbours: $diffs")
-  }
-
-  test("Spark column expression matches the scalar implementation") {
-    import spark.implicits._
-    val df = spark.range(500).select(
-      col("id"),
-      DetHash.uniformCol(col("id"), col("id") * 3 + 1, lit(9L)) as "u")
-    val rows = df.collect()
-    rows.foreach { r =>
-      val id = r.getLong(0)
-      val expected = DetHash.uniform(id, id * 3 + 1, 9)
-      assert(math.abs(r.getDouble(1) - expected) < 1e-12, s"id=$id")
-    }
-  }
-
-  test("DuckDB SQL expression matches the scalar implementation") {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
-      val sql =
-        s"SELECT g AS x, ${DetHash.uniformSql("g", "g * 3 + 1", "9")} AS u " +
-        "FROM generate_series(0, 499) t(g)"
-      val rs = conn.createStatement.executeQuery(sql)
-      var n = 0
-      while (rs.next()) {
-        val x = rs.getLong(1)
-        val expected = DetHash.uniform(x, x * 3 + 1, 9)
-        assert(math.abs(rs.getDouble(2) - expected) < 1e-12, s"x=$x")
-        n += 1
-      }
-      assert(n == 500)
-    } finally conn.close()
-  }
-
-  test("mixSql handles negative inputs like pmod") {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
-      val rs = conn.createStatement.executeQuery(
-        s"SELECT ${DetHash.mixSql("-5", "3", "7")} AS h")
-      rs.next()
-      val h = rs.getLong(1)
-      assert(h >= 0 && h < DetHash.M)
-      assert(h == DetHash.mix(-5, 3, 7), "floored modulo keeps negatives aligned")
-    } finally conn.close()
   }
 }

@@ -64,7 +64,7 @@ class MoseiSpec extends SparkSpec {
                               sampleEveryMin = 30),
       preSampleSize = 500, categorySampleFrac = 0.10)
     val (model, _, test) =
-      Skyscraper.fitAndTrace(spark, MoseiHigh, hyper, trainDays = 2, testDays = 1)
+      Skyscraper.fitAndTrace(MoseiHigh, hyper, trainDays = 2, testDays = 1)
     for (cores <- Seq(8, 32)) {
       val r = Skyscraper.run(model, test, cores, 4e9, 1.0)
       assert(r.overflows == 0, s"cores=$cores overflows=${r.overflows}")
