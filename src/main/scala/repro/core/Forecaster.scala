@@ -41,11 +41,15 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
   }
 
   /** Feature vector: `nSplits` chunk histograms over cats[end−inputSegs, end). */
-  def features(cats: Array[Int], end: Int): Array[Double] = {
+  def features(cats: Array[Int], end: Int): Array[Double] =
+    features(end, histogram(cats, _, _))
+
+  /** The feature vector at `end`, each chunk's histogram from `hist(from, until)`. */
+  private def features(end: Int, hist: (Int, Int) => Array[Double]): Array[Double] = {
     val out = Array.ofDim[Double](inputDim)
     for (s <- 0 until spec.nSplits) {
       val from = end - inputSegs + s * chunkSegs
-      val h = histogram(cats, from, math.min(end, from + chunkSegs))
+      val h = hist(from, math.min(end, from + chunkSegs))
       Array.copy(h, 0, out, s * nCategories, nCategories)
     }
     out
@@ -53,12 +57,31 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
 
   /** Sliding-window (input, target) pairs over a category sequence; one
     * training point every `sampleEveryMin` (paper: every 15 minutes).
+    * Histograms come from one prefix-count array, `counts(i·|C| + c)` =
+    * occurrences of c in cats[0, i): a count difference is the exact integer
+    * [[histogram]] sums, divided by the same n, so the values are equal.
     */
   def windows(cats: Array[Int]): Seq[(Array[Double], Array[Double])] = {
-    val starts = inputSegs until (cats.length - horizonSegs) by strideSegs
-    starts.map { end =>
-      (features(cats, end), histogram(cats, end, end + horizonSegs))
+    val nC = nCategories
+    val counts = new Array[Int]((cats.length + 1) * nC)
+    var i = 0
+    while (i < cats.length) {
+      System.arraycopy(counts, i * nC, counts, (i + 1) * nC, nC)
+      counts((i + 1) * nC + cats(i)) += 1
+      i += 1
     }
+    def hist(from: Int, until: Int): Array[Double] = {
+      val h = Array.ofDim[Double](nC)
+      val (a, b) = (math.max(0, from), math.min(cats.length, until))
+      var c = 0
+      while (b > a && c < nC) {
+        h(c) = (counts(b * nC + c) - counts(a * nC + c)).toDouble / (b - a)
+        c += 1
+      }
+      h
+    }
+    val starts = inputSegs until (cats.length - horizonSegs) by strideSegs
+    starts.map(end => (features(end, hist(_, _)), hist(end, end + horizonSegs)))
   }
 
   /** Train on the category sequence of the unlabeled data; returns best

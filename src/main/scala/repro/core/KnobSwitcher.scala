@@ -19,7 +19,7 @@ final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
   // Placements cheapest first, for every config: a probe prices the cloud as
   // work · cloudFrac · price with work, price ≥ 0, so cloudFrac order is
   // cloud-cost order.
-  private val byCloudCost = placements.sortBy(_.cloudFrac)
+  private val byCloudCost: Array[Placement] = placements.sortBy(_.cloudFrac).toArray
 
   private var plan: KnobPlan = _
   private val usedCounts = Array.ofDim[Double](cats.n, nConfigs)
@@ -34,23 +34,42 @@ final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
   def usedFrac(c: Int, k: Int): Double =
     if (usedTotals(c) <= 0) 0.0 else usedCounts(c)(k) / usedTotals(c)
 
-  /** Quality rank of configs per category, best first — the "next less
-    * qualitative" order for the degradation fallback.
+  /** fallback(c)(k): the configs to try on category c when Eq. 6 picks k —
+    * k, then the others by quality rank on c, best first ("next less
+    * qualitative", the degradation order).
     */
-  private val qualityOrder: Array[Seq[Int]] =
-    qualHat.map(q => (0 until nConfigs).sortBy(k => -q(k)))
+  private val fallback: Array[Array[Array[Int]]] = qualHat.map { q =>
+    val order = (0 until nConfigs).sortBy(k => -q(k))
+    Array.tabulate(nConfigs)(k => (k +: order.filterNot(_ == k)).toArray)
+  }
 
   def choose(probe: Probe): Decision = {
     require(plan != null, "knob plan not set")
     val c = curCategory
     lastChosenCategory = c
-    // Eq. 6: maximize plan-adherence deficit.
-    val kNext = (0 until nConfigs).maxBy(k => plan.alpha(c)(k) - usedFrac(c, k))
+    // Eq. 6: maximize plan-adherence deficit; the first of equal deficits
+    // wins, in Double's total order (as `maxBy` under Ordering[Double]).
+    val alpha = plan.alpha(c)
+    var kNext = 0
+    var best = alpha(0) - usedFrac(c, 0)
+    var k = 1
+    while (k < nConfigs) {
+      val v = alpha(k) - usedFrac(c, k)
+      if (java.lang.Double.compare(v, best) > 0) { kNext = k; best = v }
+      k += 1
+    }
 
     // Fallback chain: kNext, then configs of decreasing expected quality.
-    val order = kNext +: qualityOrder(c).filterNot(_ == kNext)
-    for (k <- order; p <- byCloudCost)
-      if (probe.feasible(k, p)) return Decision(k, p)
+    val chain = fallback(c)(kNext)
+    var j = 0
+    while (j < chain.length) {
+      var m = 0
+      while (m < byCloudCost.length) {
+        if (probe.feasible(chain(j), byCloudCost(m))) return Decision(chain(j), byCloudCost(m))
+        m += 1
+      }
+      j += 1
+    }
 
     // Nothing fits (should not happen when the cheapest config is
     // provisioned to run in real time): cheapest config, max offload.

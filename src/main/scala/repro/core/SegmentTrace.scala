@@ -1,29 +1,26 @@
 package repro.core
 
-import repro.workload.ConfigProfile
+import repro.workload.{ConfigProfile, Workload}
 
 /** Driver-side columnar view of a stream's segments with the per-(segment,
-  * config) quality, cost and report channels, produced by [[QualityMatrix]].
+  * config) quality, cost and report channels.
   *
   * All control-loop components (offline fit, planner, switcher, simulator,
   * baselines) consume this through the cell accessors `qual(i, k)`,
-  * `cost(i, k)` and `report(i, k)`. The driver synthesizes the stream with
-  * `VideoSynth`'s content law and fills the cells with the workload's scalar
-  * law, so every cell equals `Workload.quality`/`reported`/`costPerSec` bit
-  * for bit.
+  * `cost(i, k)` and `report(i, k)`. A trace built by [[QualityMatrix]] is a
+  * [[LawTrace]]: it keeps only per-segment columns and evaluates each cell
+  * from the workload's scalar law on read, so every cell equals
+  * `Workload.quality`/`reported`/`costPerSec` bit for bit. `qual(i, k)` is
+  * `weight(i) * report(i, k)` in every trace, the same product the law
+  * defines (`Workload.quality`).
   *
-  * Layout. The report channel is one flat row-major n·K array, and qual is not
-  * stored: `qual(i, k)` is `weight(i) * report(i, k)` computed on read, the
-  * same product the law defines (`Workload.quality`), so it is bit-identical
-  * to a stored value. Cost keeps one row array per segment, and consecutive
-  * bit-identical rows are one shared array. Per segment that is K·8 + 8 bytes
-  * of report and weight (80 B at K = 9), plus a pointer to a cost row that is
-  * usually shared.
+  * `report` and `cost` are the one seam: the stored-cells factory
+  * `SegmentTrace(…)` builds a trace from given cells (hand-built traces in
+  * tests), and the offline fit reads a working copy of the train report
+  * through the same class.
   *
-  * Every array is read-only: a cost row may be shared by many segments
-  * (`QualityMatrix.trace` shares bit-identical rows, and `slice` keeps the
-  * sharing), so a write into `costRows(s)` would change every segment that
-  * shares it.
+  * Every array is read-only: `slice` copies, but the fit's working copy
+  * shares its base trace's columns.
   *
   * @param segSec      segment length in seconds
   * @param day         day index per segment
@@ -33,58 +30,63 @@ import repro.workload.ConfigProfile
   * @param load        concurrent streams per segment
   * @param configs     the knob configurations the channels are computed for
   * @param weight      weight(s): the segment's quality mass, `qualityWeight(d_s)`
-  * @param reportCells reportCells(s·K + k): the certainty metric the user code
-  *                    reports while processing configs(k) on s — the
-  *                    switcher's only signal
-  * @param costRows    costRows(s)(k): core·s to process segment s with configs(k)
   */
-final case class SegmentTrace(
-    segSec: Double,
-    day: Array[Int],
-    regime: Array[Int],
-    difficulty: Array[Double],
-    load: Array[Double],
-    configs: Vector[ConfigProfile],
-    weight: Array[Double],
-    reportCells: Array[Double],
-    costRows: Array[Array[Double]],
+abstract class SegmentTrace(
+    val segSec: Double,
+    val day: Array[Int],
+    val regime: Array[Int],
+    val difficulty: Array[Double],
+    val load: Array[Double],
+    val configs: Vector[ConfigProfile],
+    val weight: Array[Double],
 ) {
-  private[this] val nK = configs.length
-  require(weight.length == day.length && costRows.length == day.length &&
-          reportCells.length == day.length * nK,
-    s"SegmentTrace: ${day.length} segments × $nK configs need as many weights and cost " +
-    s"rows and ${day.length * nK} report cells")
+  protected[this] final val nK = configs.length
+  require(regime.length == day.length && difficulty.length == day.length &&
+          load.length == day.length && weight.length == day.length,
+    s"SegmentTrace: ${day.length} segments need as many regimes, difficulties, loads and weights")
 
   def nSegments: Int = day.length
   def nConfigs: Int  = nK
 
-  /** The reported quality of configs(k) on segment i. */
-  def report(i: Int, k: Int): Double = reportCells(i * nK + k)
-
-  /** The application quality of configs(k) on segment i. */
-  def qual(i: Int, k: Int): Double = weight(i) * reportCells(i * nK + k)
+  /** The reported quality of configs(k) on segment i: the certainty metric
+    * the user code reports while processing it — the switcher's only signal.
+    */
+  def report(i: Int, k: Int): Double
 
   /** core·s to process segment i with configs(k). */
-  def cost(i: Int, k: Int): Double = costRows(i)(k)
+  def cost(i: Int, k: Int): Double
+
+  /** Sub-trace covering segments [from, until). */
+  def slice(from: Int, until: Int): SegmentTrace
+
+  /** The application quality of configs(k) on segment i. */
+  final def qual(i: Int, k: Int): Double = weight(i) * report(i, k)
 
   /** A copy of segment i's report vector over all configs. */
-  def reportRow(i: Int): Array[Double] =
-    java.util.Arrays.copyOfRange(reportCells, i * nK, (i + 1) * nK)
+  def reportRow(i: Int): Array[Double] = Array.tabulate(nK)(report(i, _))
 
-  @deprecated("an O(n·K) copy of the channel; read cells with qual(i, k)", "0.1.0")
-  def qual: Array[Array[Double]] = Array.tabulate(nSegments) { i =>
-    val row = reportRow(i)
-    var k = 0
-    while (k < nK) { row(k) = weight(i) * row(k); k += 1 }
-    row
+  // Index loops: a generic Array.tabulate would box each of the n·K cells.
+  private def channel(cell: (Int, Int) => Double): Array[Array[Double]] = {
+    val m = new Array[Array[Double]](nSegments)
+    var i = 0
+    while (i < nSegments) {
+      val row = new Array[Double](nK)
+      var k = 0
+      while (k < nK) { row(k) = cell(i, k); k += 1 }
+      m(i) = row
+      i += 1
+    }
+    m
   }
 
-  @deprecated("a copy of the row pointers (the rows are the shared read-only cost rows); " +
-              "read cells with cost(i, k)", "0.1.0")
-  def cost: Array[Array[Double]] = costRows.clone()
+  @deprecated("an O(n·K) copy of the channel; read cells with qual(i, k)", "0.1.0")
+  def qual: Array[Array[Double]] = channel(qual(_, _))
+
+  @deprecated("an O(n·K) copy of the channel; read cells with cost(i, k)", "0.1.0")
+  def cost: Array[Array[Double]] = channel(cost(_, _))
 
   @deprecated("an O(n·K) copy of the channel; read cells with report(i, k)", "0.1.0")
-  def report: Array[Array[Double]] = Array.tabulate(nSegments)(reportRow)
+  def report: Array[Array[Double]] = channel(report(_, _))
 
   /** Index of the first segment of `dayIdx`. */
   def dayStart(dayIdx: Int): Int = {
@@ -92,14 +94,6 @@ final case class SegmentTrace(
     if (i < 0) -(i + 1)
     else { var j = i; while (j > 0 && day(j - 1) == dayIdx) j -= 1; j }
   }
-
-  /** Sub-trace covering segments [from, until). */
-  def slice(from: Int, until: Int): SegmentTrace =
-    SegmentTrace(segSec,
-      day.slice(from, until), regime.slice(from, until),
-      difficulty.slice(from, until), load.slice(from, until), configs,
-      weight.slice(from, until), reportCells.slice(from * nK, until * nK),
-      costRows.slice(from, until))
 
   /** Total quality achievable by the per-segment best config (normalizer). */
   lazy val maxTotalQuality: Double = {
@@ -114,4 +108,96 @@ final case class SegmentTrace(
     }
     s
   }
+}
+
+object SegmentTrace {
+
+  /** A trace with stored cells: `reportCells(s·K + k)` is the report of
+    * configs(k) on segment s, and `costRows(s)(k)` its core·s. Hand-built
+    * traces in tests substitute their cells through this factory.
+    */
+  def apply(segSec: Double, day: Array[Int], regime: Array[Int], difficulty: Array[Double],
+            load: Array[Double], configs: Vector[ConfigProfile], weight: Array[Double],
+            reportCells: Array[Double], costRows: Array[Array[Double]]): SegmentTrace = {
+    require(costRows.length == day.length && costRows.forall(_.length == configs.length),
+      s"SegmentTrace: ${day.length} segments × ${configs.length} configs need as many cost rows")
+    new Stored(segSec, day, regime, difficulty, load, configs, weight, reportCells,
+               (i, k) => costRows(i)(k))
+  }
+
+  /** `t` with its report read from a working copy of every report cell,
+    * filled once by a parallel loop over segments (one task writes each
+    * segment's cells): for a pass that reads each cell. It shares `t`'s
+    * columns and reads `t`'s costs.
+    */
+  private[core] def withReportCopy(t: SegmentTrace): SegmentTrace = {
+    val nK = t.nConfigs
+    val cells = new Array[Double](t.nSegments * nK)
+    java.util.stream.IntStream.range(0, t.nSegments).parallel().forEach { i =>
+      var k = 0
+      while (k < nK) { cells(i * nK + k) = t.report(i, k); k += 1 }
+    }
+    new Stored(t.segSec, t.day, t.regime, t.difficulty, t.load, t.configs, t.weight, cells,
+               t.cost(_, _))
+  }
+
+  private final class Stored(
+      segSec: Double, day: Array[Int], regime: Array[Int], difficulty: Array[Double],
+      load: Array[Double], configs: Vector[ConfigProfile], weight: Array[Double],
+      reportCells: Array[Double], costOf: (Int, Int) => Double,
+  ) extends SegmentTrace(segSec, day, regime, difficulty, load, configs, weight) {
+    require(reportCells.length == day.length * nK,
+      s"SegmentTrace: ${day.length} segments × $nK configs need ${day.length * nK} report cells")
+
+    def report(i: Int, k: Int): Double = reportCells(i * nK + k)
+    def cost(i: Int, k: Int): Double = costOf(i, k)
+
+    def slice(from: Int, until: Int): SegmentTrace =
+      new Stored(segSec, day.slice(from, until), regime.slice(from, until),
+        difficulty.slice(from, until), load.slice(from, until), configs,
+        weight.slice(from, until), reportCells.slice(from * nK, until * nK),
+        (i, k) => costOf(from + i, k))
+  }
+}
+
+/** A trace whose cells are workload `w`'s law, evaluated on read. Per segment
+  * it holds the columns, `weight` and `dPow = d^sevPow` (about 40 B), so a
+  * report read costs one `exp` and one hash but no `pow`:
+  *
+  * {{{
+  *   report(i, k) = w.reportedCell(configs(k), first + i, ρ·affinity(regime(i)), dPow(i), load(i))
+  *   cost(i, k)   = w.costPerSec(configs(k), load(i)) · segSec
+  * }}}
+  *
+  * @param first the stream's segment id of segment 0: the report noise keys
+  *              on the stream's segment id, and `slice(from, …)` adds `from`
+  * @param dPow  dPow(s) = `StrictMath.pow(difficulty(s), w.sevPow)`
+  */
+final class LawTrace private[core] (
+    w: Workload,
+    val first: Long,
+    day: Array[Int],
+    regime: Array[Int],
+    difficulty: Array[Double],
+    load: Array[Double],
+    configs: Vector[ConfigProfile],
+    weight: Array[Double],
+    val dPow: Array[Double],
+) extends SegmentTrace(w.segSec, day, regime, difficulty, load, configs, weight) {
+  require(dPow.length == day.length, s"LawTrace: ${day.length} segments need as many dPow")
+
+  private[this] val profiles = configs.toArray
+  private[this] val rhoEff =
+    Array.tabulate(w.NRegimes, nK)((r, k) => profiles(k).rho * w.affinity(profiles(k).cfg, r))
+  private[this] val sec = w.segSec
+
+  def report(i: Int, k: Int): Double =
+    w.reportedCell(profiles(k), first + i, rhoEff(regime(i))(k), dPow(i), load(i))
+
+  def cost(i: Int, k: Int): Double = w.costPerSec(profiles(k), load(i)) * sec
+
+  def slice(from: Int, until: Int): LawTrace =
+    new LawTrace(w, first + from, day.slice(from, until), regime.slice(from, until),
+      difficulty.slice(from, until), load.slice(from, until), configs,
+      weight.slice(from, until), dPow.slice(from, until))
 }

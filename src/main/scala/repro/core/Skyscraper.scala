@@ -60,11 +60,11 @@ object Skyscraper {
 
   /** Run the offline phase on `trainDays` of history and build the traces.
     * Returns (model, trainTrace, testTrace); both traces share the filtered
-    * configuration set K, and the model records each step's wall time. The
-    * whole fit runs on the driver.
+    * configuration set K and evaluate their cells on read, and the model
+    * records each step's wall time. The whole fit runs on the driver.
     */
   def fitAndTrace(w: Workload, hyper: Hyper = Hyper(), trainDays: Int = -1,
-                  testDays: Int = -1): (SkyscraperModel, SegmentTrace, SegmentTrace) = {
+                  testDays: Int = -1): (SkyscraperModel, LawTrace, LawTrace) = {
     val trD = if (trainDays > 0) trainDays else w.trainDays
     val teD = if (testDays > 0) testDays else w.testDays
     val clock = new StepClock
@@ -76,7 +76,7 @@ object Skyscraper {
     val k = clock(FilterConfigs)(
       Pareto.filterConfigs(w, preSample(w, segs, trD, hyper.preSampleSize), hyper.maxK))
 
-    // 2. One quality/cost matrix over train+test for the filtered K.
+    // 2. One trace over train+test for the filtered K.
     val (train, test) = clock(TrainingData) {
       val full = QualityMatrix.trace(w, segs, k)
       val split = full.dayStart(trD)
@@ -89,7 +89,7 @@ object Skyscraper {
   /** The same fit; `spark` is unused. Kept for `perfbench/` (ROADMAP item 1). */
   @deprecated("spark is unused; call fitAndTrace(w, hyper, trainDays, testDays)", "0.1.0")
   def fitAndTrace(spark: SparkSession, w: Workload, hyper: Hyper, trainDays: Int,
-                  testDays: Int): (SkyscraperModel, SegmentTrace, SegmentTrace) =
+                  testDays: Int): (SkyscraperModel, LawTrace, LawTrace) =
     fitAndTrace(w, hyper, trainDays, testDays)
 
   /** Driver-side offline phase given the training trace. */
@@ -99,12 +99,15 @@ object Skyscraper {
 
   private def fit(w: Workload, k: Vector[ConfigProfile], train: SegmentTrace,
                   hyper: Hyper, clock: StepClock): SkyscraperModel = {
-    val cats = clock(Categories)(ContentCategories.fit(train, hyper.nCategories,
+    // The fit reads every train report cell: one parallel fill of a working
+    // copy, which nothing keeps once the fit returns.
+    val seen = clock(TrainingData)(SegmentTrace.withReportCopy(train))
+    val cats = clock(Categories)(ContentCategories.fit(seen, hyper.nCategories,
                                                        hyper.categorySampleFrac, hyper.seed))
-    val trainCats = clock(TrainingData)(ContentCategories.assignOnline(cats, train))
+    val trainCats = clock(TrainingData)(ContentCategories.assignOnline(cats, seen))
     val (costHat, qualHat) = clock(Categories)((
       meanByCategory(train.cost(_, _), trainCats, cats.n, train),
-      meanByCategory(train.qual(_, _), trainCats, cats.n, train)))
+      meanByCategory(seen.qual(_, _), trainCats, cats.n, train)))
     val forecaster = clock(TrainForecast) {
       val f = new Forecaster(hyper.forecast, cats.n, train.segSec, hyper.seed)
       f.fit(trainCats)

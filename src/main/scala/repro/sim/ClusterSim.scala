@@ -24,7 +24,9 @@ object Placement {
 final case class Decision(cfgIdx: Int, placement: Placement,
                           extraLocalWork: Double = 0.0)
 
-/** What a controller may inspect when deciding (paper §4.2's inputs). */
+/** What a controller may inspect when deciding (paper §4.2's inputs). It
+  * describes the segment being decided, and only while `choose` runs.
+  */
 trait Probe {
   /** Seconds of video currently sitting in the buffer. */
   def lagSec: Double
@@ -114,10 +116,32 @@ final class ClusterSim(
     bytesPrefix(full) + math.max(0.0, partial)
   }
 
+  /** The probe a run hands its controller: the state before segment `i`,
+    * which `run` updates in place, so it holds only during `choose`.
+    */
+  private final class SimProbe extends Probe {
+    var i = 0
+    var start = 0.0
+    var lagSec = 0.0
+    var bufferBytes = 0.0
+    var cloudSpent = 0.0
+    def bufferCapBytes: Double = ClusterSim.this.bufferCapBytes
+    def cloudRemaining: Double = cloudBudgetDollars - cloudSpent
+    def work(cfgIdx: Int): Double = trace.cost(i, cfgIdx)
+    def cloudCost(cfgIdx: Int, p: Placement): Double =
+      trace.cost(i, cfgIdx) * p.cloudFrac * cloudPricePerCoreSec
+    def feasible(cfgIdx: Int, p: Placement): Boolean = {
+      val d = duration(i, cfgIdx, p)
+      val finish = start + d
+      val bytesAfter = arrivedBytes(finish) - bytesPrefix(i + 1)
+      bytesAfter <= ClusterSim.this.bufferCapBytes &&
+        cloudCost(cfgIdx, p) <= cloudRemaining + 1e-12
+    }
+  }
+
   def run(controller: Controller): RunResult = {
     val n = trace.nSegments
     var finishPrev = 0.0
-    var cloudSpent = 0.0
     var work = 0.0
     var totalQ = 0.0
     var maxBuf = 0.0
@@ -125,6 +149,7 @@ final class ClusterSim(
     var overflows = 0
     val chosen = Array.ofDim[Int](n)
     var lastLag = 0.0
+    val probe = new SimProbe
 
     var i = 0
     while (i < n) {
@@ -134,23 +159,7 @@ final class ClusterSim(
       // is "in the buffer" until processed).
       val lag = math.min(start, n * dt) - i * dt
       val bufBytesNow = arrivedBytes(start) - bytesPrefix(i)
-
-      val probe = new Probe {
-        def lagSec: Double = lag
-        def bufferBytes: Double = bufBytesNow
-        def bufferCapBytes: Double = ClusterSim.this.bufferCapBytes
-        def cloudRemaining: Double = cloudBudgetDollars - cloudSpent
-        def work(cfgIdx: Int): Double = trace.cost(i, cfgIdx)
-        def cloudCost(cfgIdx: Int, p: Placement): Double =
-          trace.cost(i, cfgIdx) * p.cloudFrac * cloudPricePerCoreSec
-        def feasible(cfgIdx: Int, p: Placement): Boolean = {
-          val d = duration(i, cfgIdx, p)
-          val finish = start + d
-          val bytesAfter = arrivedBytes(finish) - bytesPrefix(i + 1)
-          bytesAfter <= ClusterSim.this.bufferCapBytes &&
-            cloudCost(cfgIdx, p) <= cloudRemaining + 1e-12
-        }
-      }
+      probe.i = i; probe.start = start; probe.lagSec = lag; probe.bufferBytes = bufBytesNow
 
       val dec = controller.choose(probe, i)
       val w = trace.cost(i, dec.cfgIdx) + dec.extraLocalWork
@@ -162,19 +171,20 @@ final class ClusterSim(
       maxBuf = math.max(maxBuf, math.max(bufAfter, bufBytesNow))
       maxLag = math.max(maxLag, math.max(lagAfter, lag))
 
-      cloudSpent += w * dec.placement.cloudFrac * cloudPricePerCoreSec
+      probe.cloudSpent += w * dec.placement.cloudFrac * cloudPricePerCoreSec
       work += w
-      val q = trace.qual(i, dec.cfgIdx)
+      val report = trace.report(i, dec.cfgIdx)
+      val q = trace.weight(i) * report
       totalQ += q
       chosen(i) = dec.cfgIdx
-      controller.observe(i, dec.cfgIdx, q, trace.report(i, dec.cfgIdx))
+      controller.observe(i, dec.cfgIdx, q, report)
 
       finishPrev = finish
       lastLag = lagAfter
       i += 1
     }
 
-    RunResult(totalQ, totalQ / trace.maxTotalQuality, cloudSpent, work, maxBuf,
+    RunResult(totalQ, totalQ / trace.maxTotalQuality, probe.cloudSpent, work, maxBuf,
               overflows, chosen, lastLag, maxLag)
   }
 

@@ -37,7 +37,12 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
     out
   }
 
-  private def relu(x: Array[Double]): Array[Double] = x.map(v => math.max(0.0, v))
+  private def relu(x: Array[Double]): Array[Double] = {
+    val out = new Array[Double](x.length)
+    var i = 0
+    while (i < x.length) { out(i) = math.max(0.0, x(i)); i += 1 }
+    out
+  }
 
   private def softmax(x: Array[Double]): Array[Double] = {
     val m = x.max
@@ -46,17 +51,25 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
     e.map(_ / s)
   }
 
+  /** Cross-entropy of output `p` against the soft target, summed in index order. */
+  private def crossEntropy(target: Array[Double], p: Array[Double]): Double = {
+    val terms = new Array[Double](math.min(target.length, p.length))
+    var i = 0
+    while (i < terms.length) { terms(i) = target(i) * math.log(math.max(p(i), 1e-12)); i += 1 }
+    -terms.sum
+  }
+
   /** Forward pass → softmax output (a probability histogram). */
   def predict(input: Array[Double]): Array[Double] = {
     var a = input
-    for (l <- 0 until weights.length - 1) a = relu(affine(l, a))
+    var l = 0
+    while (l < weights.length - 1) { a = relu(affine(l, a)); l += 1 }
     softmax(affine(weights.length - 1, a))
   }
 
   /** Cross-entropy of one example (soft target). */
   def loss(input: Array[Double], target: Array[Double]): Double = {
-    val p = predict(input)
-    -target.zip(p).map { case (t, q) => t * math.log(math.max(q, 1e-12)) }.sum
+    crossEntropy(target, predict(input))
   }
 
   /** One SGD step on a single example; returns the example's loss. */
@@ -66,16 +79,20 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
     val acts = Array.ofDim[Array[Double]](nL + 1) // acts(0)=input … acts(nL)=output
     acts(0) = input
     val pre = Array.ofDim[Array[Double]](nL)
-    for (l <- 0 until nL) {
+    var l = 0
+    while (l < nL) {
       pre(l) = affine(l, acts(l))
       acts(l + 1) = if (l == nL - 1) softmax(pre(l)) else relu(pre(l))
+      l += 1
     }
-    val lossVal =
-      -target.zip(acts(nL)).map { case (t, q) => t * math.log(math.max(q, 1e-12)) }.sum
+    val lossVal = crossEntropy(target, acts(nL))
 
     // Backward. delta = dLoss/dPre(l).
-    var delta = acts(nL).zip(target).map { case (p, t) => p - t }
-    for (l <- (nL - 1) to 0 by -1) {
+    var delta = new Array[Double](math.min(acts(nL).length, target.length))
+    var o = 0
+    while (o < delta.length) { delta(o) = acts(nL)(o) - target(o); o += 1 }
+    l = nL - 1
+    while (l >= 0) {
       val aPrev = acts(l)
       // Propagate through the PRE-update weights first (true gradient).
       val next: Array[Double] =
@@ -102,6 +119,7 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
         i += 1
       }
       if (l > 0) delta = next
+      l -= 1
     }
     lossVal
   }

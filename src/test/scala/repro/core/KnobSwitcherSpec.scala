@@ -82,6 +82,17 @@ class KnobSwitcherSpec extends AnyFunSuite {
     assert(d.placement.cloudFrac == 0.0)
   }
 
+  test("equal Eq. 6 deficits go to the lower index, in Double's total order") {
+    val sw = new KnobSwitcher(newCats, centers, Vector(Placement(0.0)))
+    sw.setPlan(KnobPlan(Array(Array(0.2, 0.4, 0.4), Array(1.0, 0.0, 0.0))))
+    assert(sw.choose(new StubProbe(works)).cfgIdx == 1)
+    // −0.0 − 0.0 = −0.0 ranks below 0.0 − 0.0 = 0.0, though −0.0 == 0.0.
+    sw.setPlan(KnobPlan(Array(Array(-0.0, 0.0, -0.0), Array(1.0, 0.0, 0.0))))
+    assert(sw.choose(new StubProbe(works)).cfgIdx == 1)
+    sw.setPlan(KnobPlan(Array(Array(-0.0, -0.0, -0.0), Array(1.0, 0.0, 0.0))))
+    assert(sw.choose(new StubProbe(works)).cfgIdx == 0)
+  }
+
   test("choose without a plan throws") {
     val sw = new KnobSwitcher(newCats, centers, Vector(Placement(0.0)))
     intercept[IllegalArgumentException](sw.choose(new StubProbe(works)))

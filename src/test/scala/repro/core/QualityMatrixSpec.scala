@@ -13,34 +13,42 @@ class QualityMatrixSpec extends SparkSpec {
     assert(trace.nSegments == 86400 / 2)
     assert(trace.nConfigs == configs.length)
     assert(trace.weight.length == trace.nSegments)
-    assert(trace.reportCells.length == trace.nSegments * trace.nConfigs)
-    assert(trace.costRows.length == trace.nSegments)
+    for (col <- Seq(trace.regime.length, trace.difficulty.length, trace.load.length,
+                    trace.dPow.length))
+      assert(col == trace.nSegments)
+    assert(trace.first == 0L)
   }
 
   /** Every (segment, config) cell of all three channels equals the scalar
-    * model exactly, with the segment's own regime selecting ρ·affinity, and
-    * qual is the stored weight times the stored report.
+    * model exactly, with the segment's own regime selecting ρ·affinity and
+    * segment i keyed on stream segment id `first + i`, and qual is the
+    * weight times the report.
     */
-  private def assertMatchesScalar(w: Workload, t: SegmentTrace): Unit = {
+  private def assertMatchesScalar(w: Workload, t: SegmentTrace, first: Long): Unit = {
     def same(got: Double, exp: Double, what: => String): Unit =
       if (got != exp) fail(s"${w.name} $what: $got != $exp")
     for (i <- 0 until t.nSegments; k <- t.configs.indices) {
       val p = t.configs(k)
       val (d, l, r) = (t.difficulty(i), t.load(i), t.regime(i))
-      same(t.qual(i, k), w.quality(p, i.toLong, d, l, r), s"qual seg=$i k=$k")
+      same(t.qual(i, k), w.quality(p, first + i, d, l, r), s"qual seg=$i k=$k")
       same(t.qual(i, k), t.weight(i) * t.report(i, k), s"weight · report seg=$i k=$k")
       same(t.cost(i, k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
-      same(t.report(i, k), w.reported(p, i.toLong, d, l, r), s"report seg=$i k=$k")
+      same(t.report(i, k), w.reported(p, first + i, d, l, r), s"report seg=$i k=$k")
     }
   }
 
   test("trace values match the scalar workload model") {
     assert(trace.regime.distinct.length == Covid.NRegimes)
-    assertMatchesScalar(Covid, trace)
+    assertMatchesScalar(Covid, trace, 0L)
     val motCfgs = Mot.profiles.sortBy(_.unitCost).grouped(8).map(_.head).toVector
     val mot = QualityMatrix.trace(spark, Mot, 1, motCfgs)
     assert(mot.regime.distinct.length == Mot.NRegimes)
-    assertMatchesScalar(Mot, mot)
+    assertMatchesScalar(Mot, mot, 0L)
+    // The test trace of a fit starts where the train trace ends.
+    val (_, train, test) = Skyscraper.fitAndTrace(Covid, Hyper(preSampleSize = 500),
+                                                  trainDays = 1, testDays = 1)
+    assertMatchesScalar(Covid, train, 0L)
+    assertMatchesScalar(Covid, test, train.nSegments.toLong)
   }
 
   test("columns follow the order configs are passed in") {
@@ -74,26 +82,12 @@ class QualityMatrixSpec extends SparkSpec {
     }
   }
 
-  /** Consecutive cost rows share one array exactly when they are bit-identical. */
-  private def assertCostRowsShared(t: SegmentTrace): Unit =
-    for (i <- 1 until t.nSegments) {
-      val same = java.util.Arrays.equals(t.costRows(i), t.costRows(i - 1))
-      assert((t.costRows(i) eq t.costRows(i - 1)) == same, s"seg=$i equal=$same")
-    }
-
-  test("a single stream's cost rows are one shared array, also after slice") {
-    assert(trace.load.forall(_ == 1.0))
-    assert(trace.costRows.forall(_ eq trace.costRows(0)))
-    val s = trace.slice(100, 200)
-    assert(s.costRows.forall(_ eq trace.costRows(0)))
-  }
-
   /** The deprecated whole-channel copies hold every cell bit for bit, in
-    * fresh arrays (cost: a fresh array of the shared rows): readers of row
-    * arrays outside this build see the values the cell accessors give.
+    * fresh arrays: readers of row arrays outside this build see the values
+    * the cell accessors give.
     */
   @nowarn("cat=deprecation")
-  private def assertCopiesMatchCells(t: SegmentTrace): Unit = {
+  private def assertCopiesMatchCells(t: LawTrace): Unit = {
     val (q, c, r) = (t.qual, t.cost, t.report)
     for ((name, m, cell) <- Seq[(String, Array[Array[Double]], (Int, Int) => Double)](
            ("qual", q, t.qual(_, _)), ("cost", c, t.cost(_, _)), ("report", r, t.report(_, _)))) {
@@ -102,7 +96,11 @@ class QualityMatrixSpec extends SparkSpec {
         if (java.lang.Double.doubleToRawLongBits(m(i)(k)) != java.lang.Double.doubleToRawLongBits(cell(i, k)))
           fail(s"$name copy seg=$i k=$k: ${m(i)(k)} != ${cell(i, k)}")
     }
-    assert(c ne t.costRows)
+    // Fresh arrays: filling every copied row changes none of the kept columns.
+    def columns = Seq(t.weight, t.dPow, t.difficulty, t.load)
+    val kept = columns.map(_.clone())
+    Seq(q, c, r).foreach(_.foreach(java.util.Arrays.fill(_, Double.NaN)))
+    for ((col, col0) <- columns.zip(kept)) assert(java.util.Arrays.equals(col, col0))
   }
 
   test("the deprecated whole-channel copies equal the cells") {
@@ -128,7 +126,8 @@ class QualityMatrixSpec extends SparkSpec {
       assert(s.report(5, k) == trace.report(105, k))
       assert(s.qual(5, k) == trace.qual(105, k))
     }
-    assert(s.reportCells.length == 100 * configs.length)
+    assert(s.dPow.length == 100 && s.dPow(5) == trace.dPow(105))
+    assert(s.first == 100L)
     assert(s.configs == trace.configs)
   }
 
@@ -148,12 +147,8 @@ class QualityMatrixSpec extends SparkSpec {
     val i = t.load.indexWhere(_ > 20)
     assert(i >= 0)
     assert(math.abs(t.cost(i, 0) - cfgs(0).unitCost * 16.0 * MoseiHigh.segSec) < 1e-9)
-    assertMatchesScalar(MoseiHigh, t)
-    assertCostRowsShared(t)
+    assertMatchesScalar(MoseiHigh, t, 0L)
     assertCopiesMatchCells(t)
-    val shared = (1 until t.nSegments).count(j => t.costRows(j) eq t.costRows(j - 1))
-    info(f"MOSEI-HIGH: $shared of ${t.nSegments} segments share the previous cost row " +
-      f"(${100.0 * shared / t.nSegments}%.1f%%)")
   }
 
   test("MOSEI traces reproduce the pinned digests") {

@@ -124,12 +124,12 @@ class SkyscraperSpec extends SparkSpec {
   }
 
   test("offline fit, online loop and baselines leave every trace cell unchanged") {
-    // Trace arrays are read-only and cost rows are shared between segments
-    // (and between train and test), so one write would change many cells.
-    // qual is weight · report, so the three stored arrays cover every cell.
-    assert(train.costRows(0) eq test.costRows(0))
-    def storage(t: SegmentTrace): Seq[(String, Array[Array[Double]])] =
-      Seq("weight" -> Array(t.weight), "report" -> Array(t.reportCells), "cost row" -> t.costRows)
+    // Trace arrays are read-only: every cell is the law evaluated on the
+    // arrays the trace holds, so those arrays cover every cell.
+    def storage(t: LawTrace): Seq[(String, Array[Array[Double]])] =
+      Seq("weight" -> Array(t.weight), "dPow" -> Array(t.dPow),
+          "difficulty" -> Array(t.difficulty), "load" -> Array(t.load),
+          "day, regime" -> Array(t.day.map(_.toDouble), t.regime.map(_.toDouble)))
     val copies = Seq(train, test).map(storage(_).map(_._2.map(_.clone())))
 
     Skyscraper.fitFromTrace(Covid, model.configs, train, hyper)
