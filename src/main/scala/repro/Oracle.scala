@@ -1,8 +1,10 @@
 package repro
 
+import java.nio.file.{Files, Path}
 import java.sql.DriverManager
+import java.util.Comparator
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 /** DuckDB correctness oracle.
   *
@@ -10,6 +12,12 @@ import scala.jdk.CollectionConverters._
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
+  *
+  * Each table reaches DuckDB as the Parquet files Spark writes for it,
+  * read by DuckDB's own ``read_parquet``, so its columns keep their Spark
+  * types (``BIGINT``, ``INTEGER``, ``DOUBLE``, …) and the SQL twin needs no
+  * parsing casts. The files live in one temporary directory, deleted when
+  * the check returns or throws.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -36,21 +44,13 @@ object Oracle {
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val tmp  = Files.createTempDirectory("oracle")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val dir = tmp.resolve(name)
+        df.write.parquet(dir.toString)
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+          s"CREATE TABLE $name AS SELECT * FROM read_parquet('$dir/*.parquet')")
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
@@ -72,6 +72,9 @@ object Oracle {
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
-    } finally conn.close()
+    } finally {
+      conn.close()
+      Using.resource(Files.walk(tmp))(_.sorted(Comparator.reverseOrder[Path]).forEach(Files.delete(_)))
+    }
   }
 }

@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.core.SegmentTrace
 import repro.sim._
+import repro.workload.Workload
 
 /** Chameleon* (paper §5.3): Chameleon [40] adapted with a buffer so it can
   * run on non-peak-provisioned hardware.
@@ -50,12 +51,11 @@ object ChameleonStar {
     (0 until trace.nConfigs).minBy(k => Iterator.range(0, trace.nSegments).map(trace.cost(_, k)).sum)
 
   /** Simulate Chameleon* on `cores`. Default profiling period: 5 minutes. */
-  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double,
-          bitrate: Double, cloudBytes: Double, uplink: Double,
+  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double, w: Workload,
           profileEverySec: Double = 300.0): RunResult = {
     val everySegs = math.max(1, (profileEverySec / trace.segSec).toInt)
     val sim = new ClusterSim(trace, cores, bufferBytes, 0.0,
-      Machines.cloudPerCoreSec(), bitrate, cloudBytes, uplink)
+      Machines.cloudPerCoreSec(), w.bitrateBytesPerSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
     sim.run(new ChameleonController(trace, everySegs, cores))
   }
 }

@@ -57,6 +57,8 @@ object Optimum {
     }
     (0 until n).foreach(push)
 
+    // An unaffordable upgrade is dropped, and with it the segment's later
+    // ones (greedy 0-1 behaviour).
     while (heap.nonEmpty) {
       val s = heap.dequeue()
       if (s.lvl == level(s.i) && work + s.dc <= budgetCoreSec) {
@@ -66,8 +68,6 @@ object Optimum {
         quality += s.dq
         chosen(s.i) = k
         push(s.i)
-      } else if (s.lvl == level(s.i)) {
-        // Can't afford this upgrade; skip the segment (greedy 0-1 behaviour).
       }
     }
 

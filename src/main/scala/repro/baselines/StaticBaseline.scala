@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.core.SegmentTrace
 import repro.sim._
+import repro.workload.Workload
 
 /** Static baseline (paper §5.3): one knob configuration for the entire
   * stream — the most qualitative one that runs in real time on the
@@ -36,11 +37,10 @@ object StaticBaseline {
   }
 
   /** Simulate the static baseline on `cores`. */
-  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double,
-          bitrate: Double, cloudBytes: Double, uplink: Double): RunResult = {
+  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double, w: Workload): RunResult = {
     val k = bestRealTimeConfig(trace, cores)
     val sim = new ClusterSim(trace, cores, bufferBytes, 0.0,
-      Machines.cloudPerCoreSec(), bitrate, cloudBytes, uplink)
+      Machines.cloudPerCoreSec(), w.bitrateBytesPerSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
     sim.run(new StaticController(k))
   }
 }

@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.core.SegmentTrace
 import repro.sim._
+import repro.workload.Workload
 
 /** VideoStorm* (paper Appendix G): a query-load-adaptive tuner is agnostic
   * to content, so on a static V-ETL job it runs the most qualitative
@@ -20,10 +21,9 @@ object VideoStormStar {
       else Decision(fallback, Placement(0.0))
   }
 
-  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double,
-          bitrate: Double, cloudBytes: Double, uplink: Double): RunResult = {
+  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double, w: Workload): RunResult = {
     val sim = new ClusterSim(trace, cores, bufferBytes, 0.0,
-      Machines.cloudPerCoreSec(), bitrate, cloudBytes, uplink)
+      Machines.cloudPerCoreSec(), w.bitrateBytesPerSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
     sim.run(new VideoStormController(trace, cores))
   }
 }

@@ -72,10 +72,9 @@ object Pareto {
     // mediocre on average) survive — pruning on MEAN quality would drop
     // exactly the configs the knob plan wants to assign to rare categories.
     // Each regime's quality sums are evaluated once and read by both passes.
-    val profiles = w.profiles.groupBy(_.id).map(_._2.head).toVector
     val byRegime = pre.groupBy(_.regime).values.toSeq
-      .map(rs => (rs.size, qualitySums(w, profiles, rs)))
-    val kept = byRegime.flatMap { case (n, sums) => frontier(profiles, sums, n, maxLoad) }
+      .map(rs => (rs.size, qualitySums(w, w.profiles, rs)))
+    val kept = byRegime.flatMap { case (n, sums) => frontier(w.profiles, sums, n, maxLoad) }
       .groupBy(_.id).map(_._2.head).toVector
       .sortBy(nominalCost(_, maxLoad))
 

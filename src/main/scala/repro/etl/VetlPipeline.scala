@@ -60,13 +60,12 @@ object VetlPipeline {
     * detections per segment, over the named `objects` table.
     */
   def transformCountsSql(p: ConfigProfile, sampleEvery: Int): String = {
-    val u = DetHashSql.uniformSql("CAST(segId AS BIGINT)", "CAST(objId AS BIGINT) + 7",
-                                  "CAST(frameNo AS BIGINT)")
-    val prob = s"GREATEST(0.05, LEAST(1.0, 1.0 - ${1.0 - p.rho} * CAST(difficulty AS DOUBLE)))"
-    s"""SELECT CAST(segId AS BIGINT) AS segId, COUNT(*) AS detections
+    val u = DetHashSql.uniformSql("segId", "objId + 7", "frameNo")
+    val prob = s"GREATEST(0.05, LEAST(1.0, 1.0 - ${1.0 - p.rho} * difficulty))"
+    s"""SELECT segId, COUNT(*) AS detections
        |FROM objects
-       |WHERE CAST(frameNo AS BIGINT) % $sampleEvery = 0 AND $u < $prob
-       |GROUP BY CAST(segId AS BIGINT)""".stripMargin
+       |WHERE frameNo % $sampleEvery = 0 AND $u < $prob
+       |GROUP BY segId""".stripMargin
   }
 
   /** Load: per-segment detection counts — the "easy to query" intermediate
@@ -86,7 +85,7 @@ object VetlPipeline {
 
   /** SQL twin of [[countsPerBucket]] over a named `detections` table. */
   def countsPerBucketSql(segsPerBucket: Int): String =
-    s"""SELECT CAST(FLOOR(CAST(segId AS BIGINT) / $segsPerBucket) AS BIGINT) AS bucket,
+    s"""SELECT CAST(FLOOR(segId / $segsPerBucket) AS BIGINT) AS bucket,
        |       COUNT(*) AS detections,
        |       COUNT(DISTINCT objId) AS objects
        |FROM detections

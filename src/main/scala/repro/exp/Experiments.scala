@@ -64,14 +64,12 @@ object Experiments {
 
     for (m <- Machines.catalogue) {
       // Static: best real-time config, no buffer use, no cloud.
-      val st = StaticBaseline.run(test, m.vCpus, BufferBytes, w.bitrateBytesPerSec,
-                                  w.cloudBytesPerSec, w.uplinkBytesPerSec)
+      val st = StaticBaseline.run(test, m.vCpus, BufferBytes, w)
       rows += T2Row(w.name, "Static", m.vCpus, st.qualityPct, 0.0,
                     onPremDollars(m, testDays), crashed = false)
     }
     for (m <- Machines.catalogue) {
-      val ch = ChameleonStar.run(test, m.vCpus, BufferBytes, w.bitrateBytesPerSec,
-                                 w.cloudBytesPerSec, w.uplinkBytesPerSec)
+      val ch = ChameleonStar.run(test, m.vCpus, BufferBytes, w)
       rows += T2Row(w.name, "Chameleon*", m.vCpus, ch.qualityPct, 0.0,
                     onPremDollars(m, testDays), crashed = ch.overflows > 0)
     }
@@ -191,8 +189,7 @@ object Experiments {
   def workComparison(w: Workload, vCpus: Int = 8): Seq[WorkRow] = {
     val (model, _, test) = fitted(w)
     val sky = Skyscraper.run(model, test, vCpus, BufferBytes, 0.0)
-    val st = StaticBaseline.run(test, vCpus, BufferBytes, w.bitrateBytesPerSec,
-                                w.cloudBytesPerSec, w.uplinkBytesPerSec)
+    val st = StaticBaseline.run(test, vCpus, BufferBytes, w)
     val opt = Optimum.assign(test, sky.workCoreSec)
     Seq(
       WorkRow(w.name, "Static", st.workCoreSec, st.qualityPct),
@@ -230,8 +227,7 @@ object Experiments {
     val (_, _, test) = fitted(w)
     val testDays = testDaysFor(w)
     Machines.catalogue.map { m =>
-      val r = VideoStormStar.run(test, m.vCpus, BufferBytes, w.bitrateBytesPerSec,
-                                 w.cloudBytesPerSec, w.uplinkBytesPerSec)
+      val r = VideoStormStar.run(test, m.vCpus, BufferBytes, w)
       T2Row(w.name, "VideoStorm*", m.vCpus, r.qualityPct, 0.0,
             onPremDollars(m, testDays), crashed = r.overflows > 0)
     }

@@ -92,13 +92,13 @@ trait Workload {
   /** Raw video bitrate in bytes per second per stream (buffer accounting).
     * 7.8 GB/day ≈ 90 KB/s, as measured in the paper (footnote 2).
     */
-  def bitrateBytesPerSec: Double = 90e3
+  final val bitrateBytesPerSec: Double = 90e3
 
   /** Compressed (JPEG) bytes per video-second shipped if fully offloaded. */
-  def cloudBytesPerSec: Double = 45e3
+  final val cloudBytesPerSec: Double = 45e3
 
   /** Uplink bandwidth cap toward the cloud in bytes/s. */
-  def uplinkBytesPerSec: Double = 1.2e6
+  final val uplinkBytesPerSec: Double = 1.2e6
 
   /** Days of unlabeled history for the offline phase / days of test stream. */
   def trainDays: Int
@@ -115,7 +115,7 @@ trait Workload {
   final def profile(cfg: KnobConfig): ConfigProfile =
     ConfigProfile(cfg, unitCost(cfg), robustness(cfg), streamCap(cfg))
 
-  final def profiles: Vector[ConfigProfile] = allConfigs.map(profile)
+  final lazy val profiles: Vector[ConfigProfile] = allConfigs.map(profile)
 
   // ---- shared quality/cost model ---------------------------------------
 

@@ -51,4 +51,12 @@ class OracleSpec extends SparkSpec {
     Oracle.assertEquivalent(proj,
       "SELECT CAST(k AS BIGINT) AS k, CAST(v AS DOUBLE) * 2 AS d FROM t", "t" -> df)
   }
+
+  test("loads an empty table") {
+    // A filter Spark folds to an empty relation: the written table has no
+    // rows, and DuckDB must still find its files and columns.
+    val empty = df.where(lit(false))
+    Oracle.assertEquivalent(empty.agg(count(lit(1)) as "n", sum("v") as "s"),
+      "SELECT COUNT(*) AS n, SUM(v) AS s FROM t", "t" -> empty)
+  }
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.SegmentTrace
-import repro.workload.{ConfigProfile, KnobConfig}
+import repro.workload.{ConfigProfile, Covid, KnobConfig}
 
 class BaselinesSpec extends AnyFunSuite {
 
@@ -25,9 +25,9 @@ class BaselinesSpec extends AnyFunSuite {
   private def costRows(t: SegmentTrace): Array[Array[Double]] =
     Array.tabulate(t.nSegments, t.nConfigs)(t.cost(_, _))
 
-  private val bitrate = 90e3
-  private val cloudBytes = 45e3
-  private val uplink = 1.2e6
+  // Any workload: every one streams 90 KB/s, ships 45 KB/s and has a 1.2 MB/s uplink.
+  private val w = Covid
+  private val bitrate = w.bitrateBytesPerSec
 
   test("static picks the most qualitative real-time config") {
     val t = mkTrace()
@@ -38,7 +38,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("static run never lags") {
     val t = mkTrace()
-    val r = StaticBaseline.run(t, 4, 4e9, bitrate, cloudBytes, uplink)
+    val r = StaticBaseline.run(t, 4, 4e9, w)
     assert(r.overflows == 0)
     assert(r.maxLagSec <= t.segSec + 1e-9)
     assert(r.cloudDollars == 0.0)
@@ -51,8 +51,8 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("static quality grows with machine size") {
     val t = mkTrace()
-    val q4  = StaticBaseline.run(t, 4, 4e9, bitrate, cloudBytes, uplink).qualityPct
-    val q16 = StaticBaseline.run(t, 16, 4e9, bitrate, cloudBytes, uplink).qualityPct
+    val q4  = StaticBaseline.run(t, 4, 4e9, w).qualityPct
+    val q16 = StaticBaseline.run(t, 16, 4e9, w).qualityPct
     assert(q16 > q4)
   }
 
@@ -63,8 +63,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("Chameleon* pays profiling overhead") {
     val t = mkTrace()
-    val r = ChameleonStar.run(t, 16, 4e9, bitrate, cloudBytes, uplink,
-                              profileEverySec = 60.0)
+    val r = ChameleonStar.run(t, 16, 4e9, w, profileEverySec = 60.0)
     val baseWork = costRows(t).map(_.min).sum // lower bound without profiling
     assert(r.workCoreSec > baseWork)
     // Profiling charges the sum of all configs every 30 segments.
@@ -75,8 +74,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("Chameleon* adapts: cheap on easy content, expensive on hard") {
     val t = mkTrace()
-    val r = ChameleonStar.run(t, 16, 4e9, bitrate, cloudBytes, uplink,
-                              profileEverySec = 60.0)
+    val r = ChameleonStar.run(t, 16, 4e9, w, profileEverySec = 60.0)
     val easy = (0 until 200).map(r.chosen(_)) // difficulty ≈ 0.05 at the start
     val hard = (t.nSegments / 2 - 100 until t.nSegments / 2 + 100).map(r.chosen(_))
     assert(easy.count(_ == 0) > easy.size / 2, s"easy=${easy.distinct}")
@@ -88,14 +86,13 @@ class BaselinesSpec extends AnyFunSuite {
     val t = mkTrace()
     // 2 cores cannot run the configs Chameleon picks during hard content,
     // and Chameleon never checks the buffer.
-    val r = ChameleonStar.run(t, 2, 50 * bitrate, bitrate, cloudBytes, uplink,
-                              profileEverySec = 60.0)
+    val r = ChameleonStar.run(t, 2, 50 * bitrate, w, profileEverySec = 60.0)
     assert(r.overflows > 0)
   }
 
   test("VideoStorm* runs top config until the buffer fills, then goes static") {
     val t = mkTrace(4000)
-    val r = VideoStormStar.run(t, 4, 2000 * bitrate, bitrate, cloudBytes, uplink)
+    val r = VideoStormStar.run(t, 4, 2000 * bitrate, w)
     assert(r.overflows == 0)
     assert(r.chosen.take(10).forall(_ == 2), "starts at the top config")
     // Once the buffer is full (~segment 500), it hovers at capacity and the

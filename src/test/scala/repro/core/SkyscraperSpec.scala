@@ -62,8 +62,7 @@ class SkyscraperSpec extends SparkSpec {
 
   test("beats the static baseline on the same hardware") {
     val sky = run(4)
-    val st = StaticBaseline.run(test, 4, 4e9, Covid.bitrateBytesPerSec,
-                                Covid.cloudBytesPerSec, Covid.uplinkBytesPerSec)
+    val st = StaticBaseline.run(test, 4, 4e9, Covid)
     assert(sky.qualityPct > st.qualityPct + 0.02,
       s"sky=${sky.qualityPct} static=${st.qualityPct}")
   }
@@ -112,8 +111,7 @@ class SkyscraperSpec extends SparkSpec {
 
   test("variant without buffer and cloud degenerates toward best static") {
     val neither = run(4, useBuffer = false, useCloud = false)
-    val st = StaticBaseline.run(test, 4, 4e9, Covid.bitrateBytesPerSec,
-                                Covid.cloudBytesPerSec, Covid.uplinkBytesPerSec)
+    val st = StaticBaseline.run(test, 4, 4e9, Covid)
     assert(neither.qualityPct >= st.qualityPct - 0.10,
       s"neither=${neither.qualityPct} static=${st.qualityPct}")
   }
@@ -134,10 +132,9 @@ class SkyscraperSpec extends SparkSpec {
 
     Skyscraper.fitFromTrace(Covid, model.configs, train, hyper)
     run(4, cloud = 2.0)
-    val (br, cb, up) = (Covid.bitrateBytesPerSec, Covid.cloudBytesPerSec, Covid.uplinkBytesPerSec)
-    StaticBaseline.run(test, 4, 4e9, br, cb, up)
-    ChameleonStar.run(test, 4, 4e9, br, cb, up)
-    VideoStormStar.run(test, 4, 4e9, br, cb, up)
+    StaticBaseline.run(test, 4, 4e9, Covid)
+    ChameleonStar.run(test, 4, 4e9, Covid)
+    VideoStormStar.run(test, 4, 4e9, Covid)
     Optimum.assign(test, 4.0 * test.nSegments * test.segSec)
 
     for ((t, copy) <- Seq(train, test).zip(copies);

@@ -51,10 +51,8 @@ class MoseiSpec extends SparkSpec {
     val pre = Skyscraper.preSample(spark, MoseiHigh, 2, 600, 7)
     val k = Pareto.filterConfigs(MoseiHigh, pre, maxK = 10)
     val t = QualityMatrix.trace(spark, MoseiHigh, 2, k)
-    val q4  = StaticBaseline.run(t, 4, 4e9, MoseiHigh.bitrateBytesPerSec,
-      MoseiHigh.cloudBytesPerSec, MoseiHigh.uplinkBytesPerSec).qualityPct
-    val q60 = StaticBaseline.run(t, 60, 4e9, MoseiHigh.bitrateBytesPerSec,
-      MoseiHigh.cloudBytesPerSec, MoseiHigh.uplinkBytesPerSec).qualityPct
+    val q4  = StaticBaseline.run(t, 4, 4e9, MoseiHigh).qualityPct
+    val q60 = StaticBaseline.run(t, 60, 4e9, MoseiHigh).qualityPct
     assert(q60 > q4 + 0.1, s"q4=$q4 q60=$q60")
   }
 
