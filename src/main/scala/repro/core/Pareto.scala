@@ -27,25 +27,29 @@ object Pareto {
   def cheapest(w: Workload, maxLoad: Double): ConfigProfile =
     w.profiles.minBy(nominalCost(_, maxLoad))
 
-  /** Keep only configs not dominated in (cost, mean quality on `sample`). */
-  def dominanceFrontier(w: Workload, cands: Seq[ConfigProfile], sample: Seq[Seg],
-                        maxLoad: Double): Vector[ConfigProfile] = {
-    val uniq = cands.groupBy(_.id).map(_._2.head).toVector
-    frontier(uniq, qualitySums(w, uniq, sample), sample.size, maxLoad)
+  /** Each config's quality summed over `sample` in its order, by config id:
+    * the `w.quality` law, with ρ·affinity hoisted per (config, regime) and
+    * the weight and d^sevPow per segment.
+    */
+  private[core] def qualitySums(w: Workload, cands: Vector[ConfigProfile],
+                                sample: Seq[Seg]): Map[Int, Double] = {
+    val ps = cands.toArray
+    val rhoEff = w.rhoEff(ps)
+    val sums = new Array[Double](ps.length)
+    for (s <- sample) {
+      val weight = w.qualityWeight(s.difficulty)
+      val dPow = StrictMath.pow(s.difficulty, w.sevPow)
+      for (c <- ps.indices)
+        sums(c) += weight * w.reportedCell(ps(c), s.segId, rhoEff(s.regime)(c), dPow, s.load)
+    }
+    ps.indices.map(c => ps(c).id -> sums(c)).toMap
   }
-
-  /** Each config's quality summed over `sample` in its order, by config id. */
-  private def qualitySums(w: Workload, cands: Vector[ConfigProfile],
-                          sample: Seq[Seg]): Map[Int, Double] =
-    cands.map { p =>
-      p.id -> sample.map(s => w.quality(p, s.segId, s.difficulty, s.load, s.regime)).sum
-    }.toMap
 
   /** The configs of `uniq` no other one beats on both cost and mean quality
     * (`qualSum / n`), sorted by cost.
     */
-  private def frontier(uniq: Vector[ConfigProfile], qualSum: Map[Int, Double], n: Int,
-                       maxLoad: Double): Vector[ConfigProfile] = {
+  private[core] def frontier(uniq: Vector[ConfigProfile], qualSum: Map[Int, Double], n: Int,
+                             maxLoad: Double): Vector[ConfigProfile] = {
     val withStats = uniq.map(p => (p, nominalCost(p, maxLoad), qualSum(p.id) / math.max(1, n)))
     withStats
       .filter { case (p, c, q) =>

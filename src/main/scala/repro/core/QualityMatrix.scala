@@ -7,12 +7,10 @@ import repro.workload.{ConfigProfile, Workload}
 /** The per-(segment, config) report and cost channels of a stream.
   *
   * The driver synthesizes the stream's columns ([[segments]]) with the
-  * content law [[repro.video.SynthLaw]], then fills one weight and one
-  * `dPow = d^sevPow` per segment in a parallel loop (each segment written by
-  * one task, so the result does not depend on scheduling). No Spark job
-  * runs. No cell is stored: the [[LawTrace]] evaluates report, qual =
-  * weight(d)·report and cost from the workload's scalar law on read, about
-  * 40 B per segment in all.
+  * content law [[repro.video.SynthLaw]]. No Spark job runs. No cell is
+  * stored: the [[LawTrace]] keeps the four columns, 24 B per segment (plus
+  * d^sevPow where sevPow ≠ 1), and evaluates weight(d), report, qual =
+  * weight(d)·report and cost from the workload's scalar law on read.
   */
 object QualityMatrix {
 
@@ -51,13 +49,10 @@ object QualityMatrix {
 
   /** The trace of the synthesized stream `segs`; it shares `segs`' arrays. */
   def trace(w: Workload, segs: Segments, configs: Vector[ConfigProfile]): LawTrace = {
-    val weight = new Array[Double](segs.n)
-    val dPow = new Array[Double](segs.n)
-    java.util.stream.IntStream.range(0, segs.n).parallel().forEach { i =>
-      val d = segs.difficulty(i)
-      weight(i) = w.qualityWeight(d)
-      dPow(i) = StrictMath.pow(d, w.sevPow)
-    }
-    new LawTrace(w, 0L, segs.day, segs.regime, segs.difficulty, segs.load, configs, weight, dPow)
+    // StrictMath.pow(d, 1.0) is d bit for bit: no second column unless sevPow ≠ 1.
+    val dPow = if (w.sevPow == 1.0) segs.difficulty
+               else java.util.Arrays.stream(segs.difficulty).parallel()
+                      .map(StrictMath.pow(_, w.sevPow)).toArray
+    new LawTrace(w, 0L, segs.day, segs.regime, segs.difficulty, segs.load, configs, dPow)
   }
 }

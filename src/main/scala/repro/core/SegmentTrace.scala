@@ -8,13 +8,14 @@ import repro.workload.{ConfigProfile, Workload}
   * All control-loop components (offline fit, planner, switcher, simulator,
   * baselines) consume this through the cell accessors `qual(i, k)`,
   * `cost(i, k)` and `report(i, k)`. A trace built by [[QualityMatrix]] is a
-  * [[LawTrace]]: it keeps only per-segment columns and evaluates each cell
-  * from the workload's scalar law on read, so every cell equals
+  * [[LawTrace]]: it keeps only the four columns (24 B per segment when
+  * `sevPow` is 1) and evaluates the weight and each cell from the workload's
+  * scalar law on read, so every cell equals
   * `Workload.quality`/`reported`/`costPerSec` bit for bit. `qual(i, k)` is
   * `weight(i) * report(i, k)` in every trace, the same product the law
   * defines (`Workload.quality`).
   *
-  * `report` and `cost` are the one seam: the stored-cells factory
+  * `weight`, `report` and `cost` are the one seam: the stored-cells factory
   * `SegmentTrace(…)` builds a trace from given cells (hand-built traces in
   * tests), and the offline fit reads a working copy of the train report
   * through the same class.
@@ -29,7 +30,6 @@ import repro.workload.{ConfigProfile, Workload}
   * @param difficulty  latent difficulty per segment (ground truth, ditto)
   * @param load        concurrent streams per segment
   * @param configs     the knob configurations the channels are computed for
-  * @param weight      weight(s): the segment's quality mass, `qualityWeight(d_s)`
   */
 abstract class SegmentTrace(
     val segSec: Double,
@@ -38,15 +38,17 @@ abstract class SegmentTrace(
     val difficulty: Array[Double],
     val load: Array[Double],
     val configs: Vector[ConfigProfile],
-    val weight: Array[Double],
 ) {
   protected[this] final val nK = configs.length
   require(regime.length == day.length && difficulty.length == day.length &&
-          load.length == day.length && weight.length == day.length,
-    s"SegmentTrace: ${day.length} segments need as many regimes, difficulties, loads and weights")
+          load.length == day.length,
+    s"SegmentTrace: ${day.length} segments need as many regimes, difficulties and loads")
 
   def nSegments: Int = day.length
   def nConfigs: Int  = nK
+
+  /** weight(i): segment i's quality mass, `qualityWeight(difficulty(i))`. */
+  def weight(i: Int): Double
 
   /** The reported quality of configs(k) on segment i: the certainty metric
     * the user code reports while processing it — the switcher's only signal.
@@ -63,19 +65,20 @@ abstract class SegmentTrace(
   final def qual(i: Int, k: Int): Double = weight(i) * report(i, k)
 
   /** A copy of segment i's report vector over all configs. */
-  def reportRow(i: Int): Array[Double] = Array.tabulate(nK)(report(i, _))
+  def reportRow(i: Int): Array[Double] = row(i, report(_, _))
 
-  // Index loops: a generic Array.tabulate would box each of the n·K cells.
+  // Index loops: a generic Array.tabulate would box each cell.
+  private def row(i: Int, cell: (Int, Int) => Double): Array[Double] = {
+    val r = new Array[Double](nK)
+    var k = 0
+    while (k < nK) { r(k) = cell(i, k); k += 1 }
+    r
+  }
+
   private def channel(cell: (Int, Int) => Double): Array[Array[Double]] = {
     val m = new Array[Array[Double]](nSegments)
     var i = 0
-    while (i < nSegments) {
-      val row = new Array[Double](nK)
-      var k = 0
-      while (k < nK) { row(k) = cell(i, k); k += 1 }
-      m(i) = row
-      i += 1
-    }
+    while (i < nSegments) { m(i) = row(i, cell); i += 1 }
     m
   }
 
@@ -114,7 +117,7 @@ object SegmentTrace {
 
   /** A trace with stored cells: `reportCells(s·K + k)` is the report of
     * configs(k) on segment s, and `costRows(s)(k)` its core·s. Hand-built
-    * traces in tests substitute their cells through this factory.
+    * traces in tests substitute their cells and weights through this factory.
     */
   def apply(segSec: Double, day: Array[Int], regime: Array[Int], difficulty: Array[Double],
             load: Array[Double], configs: Vector[ConfigProfile], weight: Array[Double],
@@ -125,53 +128,59 @@ object SegmentTrace {
                (i, k) => costRows(i)(k))
   }
 
-  /** `t` with its report read from a working copy of every report cell,
-    * filled once by a parallel loop over segments (one task writes each
-    * segment's cells): for a pass that reads each cell. It shares `t`'s
-    * columns and reads `t`'s costs.
+  /** `t` with its weights and report read from a working copy of every
+    * weight and report cell, filled once by a parallel loop over segments
+    * (one task writes each segment's cells): for a pass that reads each
+    * cell. It shares `t`'s columns and reads `t`'s costs.
     */
   private[core] def withReportCopy(t: SegmentTrace): SegmentTrace = {
     val nK = t.nConfigs
+    val weights = new Array[Double](t.nSegments)
     val cells = new Array[Double](t.nSegments * nK)
     java.util.stream.IntStream.range(0, t.nSegments).parallel().forEach { i =>
+      weights(i) = t.weight(i)
       var k = 0
       while (k < nK) { cells(i * nK + k) = t.report(i, k); k += 1 }
     }
-    new Stored(t.segSec, t.day, t.regime, t.difficulty, t.load, t.configs, t.weight, cells,
+    new Stored(t.segSec, t.day, t.regime, t.difficulty, t.load, t.configs, weights, cells,
                t.cost(_, _))
   }
 
   private final class Stored(
       segSec: Double, day: Array[Int], regime: Array[Int], difficulty: Array[Double],
-      load: Array[Double], configs: Vector[ConfigProfile], weight: Array[Double],
+      load: Array[Double], configs: Vector[ConfigProfile], weights: Array[Double],
       reportCells: Array[Double], costOf: (Int, Int) => Double,
-  ) extends SegmentTrace(segSec, day, regime, difficulty, load, configs, weight) {
-    require(reportCells.length == day.length * nK,
-      s"SegmentTrace: ${day.length} segments × $nK configs need ${day.length * nK} report cells")
+  ) extends SegmentTrace(segSec, day, regime, difficulty, load, configs) {
+    require(weights.length == day.length && reportCells.length == day.length * nK,
+      s"SegmentTrace: need ${day.length} weights and ${day.length * nK} report cells")
 
+    def weight(i: Int): Double = weights(i)
     def report(i: Int, k: Int): Double = reportCells(i * nK + k)
     def cost(i: Int, k: Int): Double = costOf(i, k)
 
     def slice(from: Int, until: Int): SegmentTrace =
       new Stored(segSec, day.slice(from, until), regime.slice(from, until),
         difficulty.slice(from, until), load.slice(from, until), configs,
-        weight.slice(from, until), reportCells.slice(from * nK, until * nK),
+        weights.slice(from, until), reportCells.slice(from * nK, until * nK),
         (i, k) => costOf(from + i, k))
   }
 }
 
-/** A trace whose cells are workload `w`'s law, evaluated on read. Per segment
-  * it holds the columns, `weight` and `dPow = d^sevPow` (about 40 B), so a
+/** A trace whose cells are workload `w`'s law, evaluated on read. It stores
+  * the four columns (24 B per segment) and, when `sevPow` ≠ 1, `dPow`, so a
   * report read costs one `exp` and one hash but no `pow`:
   *
   * {{{
+  *   weight(i)    = w.qualityWeight(difficulty(i))
   *   report(i, k) = w.reportedCell(configs(k), first + i, ρ·affinity(regime(i)), dPow(i), load(i))
   *   cost(i, k)   = w.costPerSec(configs(k), load(i)) · segSec
   * }}}
   *
   * @param first the stream's segment id of segment 0: the report noise keys
   *              on the stream's segment id, and `slice(from, …)` adds `from`
-  * @param dPow  dPow(s) = `StrictMath.pow(difficulty(s), w.sevPow)`
+  * @param dPow  dPow(s) = `StrictMath.pow(difficulty(s), w.sevPow)`: the
+  *              `difficulty` array itself when `sevPow` is 1 (the power is
+  *              then `d` bit for bit), a computed array otherwise
   */
 final class LawTrace private[core] (
     w: Workload,
@@ -181,23 +190,24 @@ final class LawTrace private[core] (
     difficulty: Array[Double],
     load: Array[Double],
     configs: Vector[ConfigProfile],
-    weight: Array[Double],
     val dPow: Array[Double],
-) extends SegmentTrace(w.segSec, day, regime, difficulty, load, configs, weight) {
+) extends SegmentTrace(w.segSec, day, regime, difficulty, load, configs) {
   require(dPow.length == day.length, s"LawTrace: ${day.length} segments need as many dPow")
 
   private[this] val profiles = configs.toArray
-  private[this] val rhoEff =
-    Array.tabulate(w.NRegimes, nK)((r, k) => profiles(k).rho * w.affinity(profiles(k).cfg, r))
+  private[this] val rhoEff = w.rhoEff(profiles)
   private[this] val sec = w.segSec
+
+  def weight(i: Int): Double = w.qualityWeight(difficulty(i))
 
   def report(i: Int, k: Int): Double =
     w.reportedCell(profiles(k), first + i, rhoEff(regime(i))(k), dPow(i), load(i))
 
   def cost(i: Int, k: Int): Double = w.costPerSec(profiles(k), load(i)) * sec
 
-  def slice(from: Int, until: Int): LawTrace =
-    new LawTrace(w, first + from, day.slice(from, until), regime.slice(from, until),
-      difficulty.slice(from, until), load.slice(from, until), configs,
-      weight.slice(from, until), dPow.slice(from, until))
+  def slice(from: Int, until: Int): LawTrace = {
+    val d = difficulty.slice(from, until)
+    new LawTrace(w, first + from, day.slice(from, until), regime.slice(from, until), d,
+      load.slice(from, until), configs, if (dPow eq difficulty) d else dPow.slice(from, until))
+  }
 }

@@ -44,19 +44,31 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
     out
   }
 
+  // Index loops: the generic `max`/`sum` made `IterableOnceOps.reduceLeft`
+  // hot with a profile whose C2 compile ran over a second, then gave up ("out
+  // of nodes"), holding back the fit's other compiles in perfbench's warm fits.
   private def softmax(x: Array[Double]): Array[Double] = {
-    val m = x.max
-    val e = x.map(v => math.exp(v - m))
-    val s = e.sum
-    e.map(_ / s)
+    var m = x(0)
+    var i = 1
+    while (i < x.length) { m = math.max(m, x(i)); i += 1 }
+    val e = new Array[Double](x.length)
+    var s = 0.0
+    i = 0
+    while (i < x.length) { e(i) = math.exp(x(i) - m); s += e(i); i += 1 }
+    i = 0
+    while (i < x.length) { e(i) /= s; i += 1 }
+    e
   }
 
   /** Cross-entropy of output `p` against the soft target, summed in index order. */
   private def crossEntropy(target: Array[Double], p: Array[Double]): Double = {
-    val terms = new Array[Double](math.min(target.length, p.length))
+    var s = 0.0
     var i = 0
-    while (i < terms.length) { terms(i) = target(i) * math.log(math.max(p(i), 1e-12)); i += 1 }
-    -terms.sum
+    while (i < math.min(target.length, p.length)) {
+      s += target(i) * math.log(math.max(p(i), 1e-12))
+      i += 1
+    }
+    -s
   }
 
   /** Forward pass → softmax output (a probability histogram). */

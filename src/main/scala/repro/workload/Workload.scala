@@ -153,4 +153,10 @@ trait Workload {
     val q = StrictMath.exp(-(1.0 - rhoEff) * sevScale * dPow) + 0.04 * (u - 0.5)
     coverage * math.max(0.0, math.min(1.0, q))
   }
+
+  /** The `rhoEff` argument of [[reportedCell]] for each of `ps` in each
+    * regime, `(regime)(config)`: what a caller filling many cells hoists.
+    */
+  final def rhoEff(ps: Array[ConfigProfile]): Array[Array[Double]] =
+    Array.tabulate(NRegimes, ps.length)((r, c) => ps(c).rho * affinity(ps(c).cfg, r))
 }

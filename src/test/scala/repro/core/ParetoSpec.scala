@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workload.{Covid, MoseiHigh, Mot}
+import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
 
 class ParetoSpec extends AnyFunSuite {
 
@@ -9,6 +9,11 @@ class ParetoSpec extends AnyFunSuite {
   private val sample = (0 until 60).map { i =>
     Pareto.Seg(i.toLong * 97, i / 59.0, 1.0)
   }
+
+  // The exact frontier filterConfigs runs, over the whole grid.
+  private def gridFrontier =
+    Pareto.frontier(Covid.profiles, Pareto.qualitySums(Covid, Covid.profiles, sample),
+                    sample.size, 1.0)
 
   test("cheapest returns the min-cost config") {
     val k = Pareto.cheapest(Covid, 1.0)
@@ -24,8 +29,8 @@ class ParetoSpec extends AnyFunSuite {
     assert(k.exists(_.rho < 0.3), k.map(_.rho).toString)
   }
 
-  test("dominanceFrontier removes dominated configs") {
-    val front = Pareto.dominanceFrontier(Covid, Covid.profiles, sample, 1.0)
+  test("frontier removes dominated configs") {
+    val front = gridFrontier
     // sorted by cost, strictly increasing quality along the frontier
     val costs = front.map(_.unitCost)
     assert(costs == costs.sorted)
@@ -49,8 +54,20 @@ class ParetoSpec extends AnyFunSuite {
     }
   }
 
+  test("qualitySums equals the summed scalar quality bit for bit") {
+    for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong)) {
+      val s = sample.map(x => x.copy(load = 1.0 + x.segId % 40, regime = (x.segId % 4).toInt))
+      val sums = Pareto.qualitySums(w, w.profiles, s)
+      for (p <- w.profiles) {
+        val exp = s.map(x => w.quality(p, x.segId, x.difficulty, x.load, x.regime)).sum
+        assert(java.lang.Double.doubleToRawLongBits(sums(p.id)) ==
+               java.lang.Double.doubleToRawLongBits(exp), s"${w.name} config ${p.id}")
+      }
+    }
+  }
+
   test("thin keeps endpoints and bounds the size") {
-    val front = Pareto.dominanceFrontier(Covid, Covid.profiles, sample, 1.0)
+    val front = gridFrontier
     val thinned = Pareto.thin(front, 4, _.unitCost)
     assert(thinned.size <= 4)
     assert(thinned.head.id == front.head.id)

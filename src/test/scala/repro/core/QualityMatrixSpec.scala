@@ -12,7 +12,6 @@ class QualityMatrixSpec extends SparkSpec {
   test("trace dimensions") {
     assert(trace.nSegments == 86400 / 2)
     assert(trace.nConfigs == configs.length)
-    assert(trace.weight.length == trace.nSegments)
     for (col <- Seq(trace.regime.length, trace.difficulty.length, trace.load.length,
                     trace.dPow.length))
       assert(col == trace.nSegments)
@@ -97,15 +96,69 @@ class QualityMatrixSpec extends SparkSpec {
           fail(s"$name copy seg=$i k=$k: ${m(i)(k)} != ${cell(i, k)}")
     }
     // Fresh arrays: filling every copied row changes none of the kept columns.
-    def columns = Seq(t.weight, t.dPow, t.difficulty, t.load)
+    def columns = Seq(t.dPow, t.difficulty, t.load)
     val kept = columns.map(_.clone())
     Seq(q, c, r).foreach(_.foreach(java.util.Arrays.fill(_, Double.NaN)))
     for ((col, col0) <- columns.zip(kept)) assert(java.util.Arrays.equals(col, col0))
   }
 
   test("the deprecated whole-channel copies equal the cells") {
-    assert(trace.weight.exists(_ != 1.0))
+    assert(trace.difficulty.indices.exists(trace.weight(_) != 1.0))
     assertCopiesMatchCells(trace)
+  }
+
+  test("weight and dPow are derived from the difficulty bit for bit") {
+    def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+    for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong)) {
+      val full = QualityMatrix.trace(w, QualityMatrix.segments(w, 1), w.profiles.take(2))
+      for (t <- Seq(full, full.slice(1000, 3000))) {
+        assert((t.dPow eq t.difficulty) == (w.sevPow == 1.0), w.name)
+        for (i <- 0 until t.nSegments) {
+          val d = t.difficulty(i)
+          if (bits(t.weight(i)) != bits(w.qualityWeight(d)) ||
+              bits(t.dPow(i)) != bits(StrictMath.pow(d, w.sevPow)))
+            fail(s"${w.name} seg=$i d=$d: weight ${t.weight(i)}, dPow ${t.dPow(i)}")
+        }
+      }
+    }
+  }
+
+  /** Bytes of the arrays at least `n` long reachable through the fields of
+    * `root` and of the `repro` objects it holds, each array counted once
+    * (an alias of another column adds nothing); references count 4 B.
+    */
+  private def streamArrayBytes(root: AnyRef, n: Int): Long = {
+    val elemBytes = Map[Class[_], Long](classOf[Double] -> 8, classOf[Long] -> 8,
+      classOf[Int] -> 4, classOf[Float] -> 4, classOf[Short] -> 2, classOf[Char] -> 2,
+      classOf[Byte] -> 1, classOf[Boolean] -> 1)
+    val seen = java.util.Collections.newSetFromMap(
+      new java.util.IdentityHashMap[AnyRef, java.lang.Boolean])
+    def walk(o: AnyRef): Long =
+      if (o == null || !seen.add(o)) 0L
+      else o match {
+        case a: Array[_] =>
+          if (a.length < n) 0L
+          else elemBytes.getOrElse(a.getClass.getComponentType, 4L) * a.length
+        case _ if o.getClass.getName.startsWith("repro.") =>
+          Iterator.iterate[Class[_]](o.getClass)(_.getSuperclass).takeWhile(_ != null)
+            .flatMap(_.getDeclaredFields)
+            .filterNot(f => java.lang.reflect.Modifier.isStatic(f.getModifiers) ||
+                            f.getType.isPrimitive)
+            .map { f => f.setAccessible(true); walk(f.get(o)) }
+            .sum
+        case _ => 0L
+      }
+    walk(root)
+  }
+
+  test("a COVID or MOT trace stores at most 24 B per segment") {
+    for (w <- Seq[Workload](Covid, Mot)) {
+      val full = QualityMatrix.trace(w, QualityMatrix.segments(w, 1), w.profiles.take(4))
+      for (t <- Seq(full, full.slice(0, full.nSegments / 2))) {
+        val perSeg = streamArrayBytes(t, t.nSegments).toDouble / t.nSegments
+        assert(perSeg <= 24.0, s"${w.name}: $perSeg B per segment")
+      }
+    }
   }
 
   test("day index is ordered and dayStart finds boundaries") {

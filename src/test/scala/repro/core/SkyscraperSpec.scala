@@ -125,7 +125,7 @@ class SkyscraperSpec extends SparkSpec {
     // Trace arrays are read-only: every cell is the law evaluated on the
     // arrays the trace holds, so those arrays cover every cell.
     def storage(t: LawTrace): Seq[(String, Array[Array[Double]])] =
-      Seq("weight" -> Array(t.weight), "dPow" -> Array(t.dPow),
+      Seq("dPow" -> Array(t.dPow),
           "difficulty" -> Array(t.difficulty), "load" -> Array(t.load),
           "day, regime" -> Array(t.day.map(_.toDouble), t.regime.map(_.toDouble)))
     val copies = Seq(train, test).map(storage(_).map(_._2.map(_.clone())))
