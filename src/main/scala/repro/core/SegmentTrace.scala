@@ -7,11 +7,15 @@ import repro.workload.{ConfigProfile, Workload}
   *
   * All control-loop components (offline fit, planner, switcher, simulator,
   * baselines) consume this through the cell accessors `qual(i, k)`,
-  * `cost(i, k)` and `report(i, k)`. A trace built by [[QualityMatrix]] is a
-  * [[LawTrace]]: it keeps only the four columns (24 B per segment when
-  * `sevPow` is 1) and evaluates the weight and each cell from the workload's
-  * scalar law on read, so every cell equals
-  * `Workload.quality`/`reported`/`costPerSec` bit for bit. `qual(i, k)` is
+  * `cost(i, k)` and `report(i, k)`, and the segment accessors `dayOf(i)`,
+  * `regimeOf(i)` and `loadOf(i)`. Every trace reads its segments from the
+  * stream's columns `segs`, which store only what the content law cannot
+  * derive: the difficulty and a 1-byte regime (9 B per segment), and the load
+  * only where the stream has a load model; the day is the law's function of
+  * the segment id. A trace built by [[QualityMatrix]] is a [[LawTrace]]: it
+  * evaluates the weight and each cell from the workload's scalar law on
+  * read, so every value equals `SynthLaw`'s and
+  * `Workload.quality`/`reported`/`costPerSec`'s bit for bit. `qual(i, k)` is
   * `weight(i) * report(i, k)` in every trace, the same product the law
   * defines (`Workload.quality`).
   *
@@ -23,29 +27,27 @@ import repro.workload.{ConfigProfile, Workload}
   * Every array is read-only: `slice` copies, but the fit's working copy
   * shares its base trace's columns.
   *
-  * @param segSec      segment length in seconds
-  * @param day         day index per segment
-  * @param regime      latent content regime per segment (ground truth, used
-  *                    only for evaluation — never by the system itself)
-  * @param difficulty  latent difficulty per segment (ground truth, ditto)
-  * @param load        concurrent streams per segment
-  * @param configs     the knob configurations the channels are computed for
+  * @param segs    the stream's columns; the difficulty and the regime are
+  *                ground truth, used only for evaluation — never by the
+  *                system itself
+  * @param configs the knob configurations the channels are computed for
   */
-abstract class SegmentTrace(
-    val segSec: Double,
-    val day: Array[Int],
-    val regime: Array[Int],
-    val difficulty: Array[Double],
-    val load: Array[Double],
-    val configs: Vector[ConfigProfile],
-) {
+abstract class SegmentTrace(val segs: QualityMatrix.Segments, val configs: Vector[ConfigProfile]) {
   protected[this] final val nK = configs.length
-  require(regime.length == day.length && difficulty.length == day.length &&
-          load.length == day.length,
-    s"SegmentTrace: ${day.length} segments need as many regimes, difficulties and loads")
 
-  def nSegments: Int = day.length
+  /** Segment length in seconds. */
+  def segSec: Double = segs.segSec
+  /** Latent difficulty per segment. */
+  def difficulty: Array[Double] = segs.difficulty
+  def nSegments: Int = segs.n
   def nConfigs: Int  = nK
+
+  /** Day index of segment i; non-decreasing in i. */
+  final def dayOf(i: Int): Int = segs.dayOf(i)
+  /** Latent content regime of segment i. */
+  final def regimeOf(i: Int): Int = segs.regimeOf(i)
+  /** Concurrent streams in segment i. */
+  final def loadOf(i: Int): Double = segs.loadOf(i)
 
   /** weight(i): segment i's quality mass, `qualityWeight(difficulty(i))`. */
   def weight(i: Int): Double
@@ -91,15 +93,41 @@ abstract class SegmentTrace(
   @deprecated("an O(n·K) copy of the channel; read cells with report(i, k)", "0.1.0")
   def report: Array[Array[Double]] = channel(report(_, _))
 
-  /** Index of the first segment of `dayIdx`. */
+  @deprecated("an O(n) copy of the column; read segment i with dayOf(i)", "0.1.0")
+  def day: Array[Int] = {
+    val c = new Array[Int](nSegments); java.util.Arrays.setAll(c, dayOf(_)); c
+  }
+
+  @deprecated("an O(n) copy of the column; read segment i with regimeOf(i)", "0.1.0")
+  def regime: Array[Int] = {
+    val c = new Array[Int](nSegments); java.util.Arrays.setAll(c, regimeOf(_)); c
+  }
+
+  @deprecated("an O(n) copy of the column; read segment i with loadOf(i)", "0.1.0")
+  def load: Array[Double] = {
+    val c = new Array[Double](nSegments); java.util.Arrays.setAll(c, loadOf(_)); c
+  }
+
+  /** Index of the first segment of day `dayIdx` or later: a binary search
+    * over `dayOf`.
+    */
   def dayStart(dayIdx: Int): Int = {
-    val i = java.util.Arrays.binarySearch(day, dayIdx)
-    if (i < 0) -(i + 1)
-    else { var j = i; while (j > 0 && day(j - 1) == dayIdx) j -= 1; j }
+    var lo = 0
+    var hi = nSegments
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (dayOf(mid) < dayIdx) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   /** Total quality achievable by the per-segment best config (normalizer). */
-  lazy val maxTotalQuality: Double = {
+  lazy val maxTotalQuality: Double = bestTotal()
+
+  // A plain method, not the lazy val's body: C2 cannot compile the lazy val's
+  // synchronized initializer on stack replacement ("OSR starts with non-empty
+  // stack"), so a trace's first call would run the whole loop uncompiled.
+  private def bestTotal(): Double = {
     var s = 0.0
     var i = 0
     while (i < nSegments) {
@@ -116,16 +144,17 @@ abstract class SegmentTrace(
 object SegmentTrace {
 
   /** A trace with stored cells: `reportCells(s·K + k)` is the report of
-    * configs(k) on segment s, and `costRows(s)(k)` its core·s. Hand-built
-    * traces in tests substitute their cells and weights through this factory.
+    * configs(k) on segment s, and `costRows(s)(k)` its core·s. Segment s's
+    * day is the law's day of segment id s. Hand-built traces in tests
+    * substitute their cells and weights through this factory.
     */
-  def apply(segSec: Double, day: Array[Int], regime: Array[Int], difficulty: Array[Double],
+  def apply(segSec: Double, regime: Array[Byte], difficulty: Array[Double],
             load: Array[Double], configs: Vector[ConfigProfile], weight: Array[Double],
             reportCells: Array[Double], costRows: Array[Array[Double]]): SegmentTrace = {
-    require(costRows.length == day.length && costRows.forall(_.length == configs.length),
-      s"SegmentTrace: ${day.length} segments × ${configs.length} configs need as many cost rows")
-    new Stored(segSec, day, regime, difficulty, load, configs, weight, reportCells,
-               (i, k) => costRows(i)(k))
+    require(costRows.length == difficulty.length && costRows.forall(_.length == configs.length),
+      s"SegmentTrace: ${difficulty.length} segments × ${configs.length} configs need as many cost rows")
+    new Stored(QualityMatrix.Segments(0L, segSec, regime, difficulty, Some(load)), configs,
+               weight, reportCells, (i, k) => costRows(i)(k))
   }
 
   /** `t` with its weights and report read from a working copy of every
@@ -142,72 +171,68 @@ object SegmentTrace {
       var k = 0
       while (k < nK) { cells(i * nK + k) = t.report(i, k); k += 1 }
     }
-    new Stored(t.segSec, t.day, t.regime, t.difficulty, t.load, t.configs, weights, cells,
-               t.cost(_, _))
+    new Stored(t.segs, t.configs, weights, cells, t.cost(_, _))
   }
 
   private final class Stored(
-      segSec: Double, day: Array[Int], regime: Array[Int], difficulty: Array[Double],
-      load: Array[Double], configs: Vector[ConfigProfile], weights: Array[Double],
+      segs: QualityMatrix.Segments, configs: Vector[ConfigProfile], weights: Array[Double],
       reportCells: Array[Double], costOf: (Int, Int) => Double,
-  ) extends SegmentTrace(segSec, day, regime, difficulty, load, configs) {
-    require(weights.length == day.length && reportCells.length == day.length * nK,
-      s"SegmentTrace: need ${day.length} weights and ${day.length * nK} report cells")
+  ) extends SegmentTrace(segs, configs) {
+    require(weights.length == nSegments && reportCells.length == nSegments * nK,
+      s"SegmentTrace: need $nSegments weights and ${nSegments * nK} report cells")
 
     def weight(i: Int): Double = weights(i)
     def report(i: Int, k: Int): Double = reportCells(i * nK + k)
     def cost(i: Int, k: Int): Double = costOf(i, k)
 
     def slice(from: Int, until: Int): SegmentTrace =
-      new Stored(segSec, day.slice(from, until), regime.slice(from, until),
-        difficulty.slice(from, until), load.slice(from, until), configs,
-        weights.slice(from, until), reportCells.slice(from * nK, until * nK),
-        (i, k) => costOf(from + i, k))
+      new Stored(segs.slice(from, until), configs, weights.slice(from, until),
+        reportCells.slice(from * nK, until * nK), (i, k) => costOf(from + i, k))
   }
 }
 
-/** A trace whose cells are workload `w`'s law, evaluated on read. It stores
-  * the four columns (24 B per segment) and, when `sevPow` ≠ 1, `dPow`, so a
-  * report read costs one `exp` and one hash but no `pow`:
+/** A trace whose cells are workload `w`'s law, evaluated on read. Besides
+  * the stream's columns it stores only `dPow` when `sevPow` ≠ 1, so a report
+  * read costs one `exp` and one hash but no `pow`:
   *
   * {{{
   *   weight(i)    = w.qualityWeight(difficulty(i))
-  *   report(i, k) = w.reportedCell(configs(k), first + i, ρ·affinity(regime(i)), dPow(i), load(i))
-  *   cost(i, k)   = w.costPerSec(configs(k), load(i)) · segSec
+  *   report(i, k) = w.reportedCell(configs(k), first + i, ρ·affinity(regimeOf(i)), dPow(i), loadOf(i))
+  *   cost(i, k)   = w.costPerSec(configs(k), loadOf(i)) · segSec
   * }}}
   *
-  * @param first the stream's segment id of segment 0: the report noise keys
-  *              on the stream's segment id, and `slice(from, …)` adds `from`
-  * @param dPow  dPow(s) = `StrictMath.pow(difficulty(s), w.sevPow)`: the
-  *              `difficulty` array itself when `sevPow` is 1 (the power is
-  *              then `d` bit for bit), a computed array otherwise
+  * A COVID or MOT trace thus keeps 9 B per segment.
+  *
+  * @param dPow dPow(s) = `StrictMath.pow(difficulty(s), w.sevPow)`: the
+  *             `difficulty` array itself when `sevPow` is 1 (the power is
+  *             then `d` bit for bit), a computed array otherwise
   */
 final class LawTrace private[core] (
     w: Workload,
-    val first: Long,
-    day: Array[Int],
-    regime: Array[Int],
-    difficulty: Array[Double],
-    load: Array[Double],
+    segs: QualityMatrix.Segments,
     configs: Vector[ConfigProfile],
     val dPow: Array[Double],
-) extends SegmentTrace(w.segSec, day, regime, difficulty, load, configs) {
-  require(dPow.length == day.length, s"LawTrace: ${day.length} segments need as many dPow")
+) extends SegmentTrace(segs, configs) {
+  require(dPow.length == nSegments, s"LawTrace: $nSegments segments need as many dPow")
 
   private[this] val profiles = configs.toArray
   private[this] val rhoEff = w.rhoEff(profiles)
   private[this] val sec = w.segSec
 
+  /** The stream's segment id of segment 0: the day and the report noise key
+    * on it, and `slice(from, …)` adds `from`.
+    */
+  def first: Long = segs.first
+
   def weight(i: Int): Double = w.qualityWeight(difficulty(i))
 
   def report(i: Int, k: Int): Double =
-    w.reportedCell(profiles(k), first + i, rhoEff(regime(i))(k), dPow(i), load(i))
+    w.reportedCell(profiles(k), first + i, rhoEff(regimeOf(i))(k), dPow(i), loadOf(i))
 
-  def cost(i: Int, k: Int): Double = w.costPerSec(profiles(k), load(i)) * sec
+  def cost(i: Int, k: Int): Double = w.costPerSec(profiles(k), loadOf(i)) * sec
 
   def slice(from: Int, until: Int): LawTrace = {
-    val d = difficulty.slice(from, until)
-    new LawTrace(w, first + from, day.slice(from, until), regime.slice(from, until), d,
-      load.slice(from, until), configs, if (dPow eq difficulty) d else dPow.slice(from, until))
+    val s = segs.slice(from, until)
+    new LawTrace(w, s, configs, if (dPow eq difficulty) s.difficulty else dPow.slice(from, until))
   }
 }

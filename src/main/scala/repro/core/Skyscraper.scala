@@ -137,7 +137,7 @@ object Skyscraper {
     */
   def preSample(w: Workload, segs: QualityMatrix.Segments, days: Int, size: Int): Seq[Pareto.Seg] =
     preSampleIds(w, days, size).takeWhile(_ < segs.n)
-      .map(i => Pareto.Seg(i, segs.difficulty(i), segs.load(i), segs.regime(i)))
+      .map(i => Pareto.Seg(i, segs.difficulty(i), segs.loadOf(i), segs.regimeOf(i)))
 
   /** The pre-sample's segment ids: about `size` of the first `days` days'. */
   private def preSampleIds(w: Workload, days: Int, size: Int): Range = {
@@ -187,7 +187,10 @@ object Skyscraper {
     private val placements =
       if (useCloud) Placement.grid else Vector(Placement(0.0))
     val switcher = new KnobSwitcher(model.cats, model.qualHat, placements)
-    private val observed = scala.collection.mutable.ArrayBuffer[Int]()
+    // The category history the forecaster reads: the training categories,
+    // then one observed category per segment, in history(0 until nHistory).
+    private val history = java.util.Arrays.copyOf(model.trainCats, model.trainCats.length + nSegs)
+    private var nHistory = model.trainCats.length
     var plansComputed = 0
 
     def choose(probe: Probe, segIdx: Int): Decision = {
@@ -197,12 +200,12 @@ object Skyscraper {
 
     override def observe(segIdx: Int, cfgIdx: Int, qual: Double, report: Double): Unit = {
       switcher.observe(cfgIdx, report)
-      observed += switcher.currentCategory
+      history(nHistory) = switcher.currentCategory
+      nHistory += 1
     }
 
     private def replan(probe: Probe, segIdx: Int): Unit = {
-      val history = model.trainCats ++ observed
-      val r = model.forecaster.predict(history, history.length)
+      val r = model.forecaster.predict(history, nHistory)
       // Ration the remaining cloud credits over the remaining intervals.
       val segsLeft = math.max(1, nSegs - segIdx)
       val intervalSegs = math.min(horizonSegs, segsLeft)

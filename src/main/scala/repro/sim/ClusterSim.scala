@@ -100,7 +100,7 @@ final class ClusterSim(
     val p = Array.ofDim[Double](n + 1)
     var i = 0
     while (i < n) {
-      p(i + 1) = p(i) + math.max(1.0, trace.load(i)) * bitrateBytesPerSec * dt
+      p(i + 1) = p(i) + math.max(1.0, trace.loadOf(i)) * bitrateBytesPerSec * dt
       i += 1
     }
     p
@@ -112,7 +112,7 @@ final class ClusterSim(
     val full = math.min(n, math.max(0, (t / dt).toInt))
     val partial =
       if (full >= n) 0.0
-      else (t - full * dt) * math.max(1.0, trace.load(full)) * bitrateBytesPerSec
+      else (t - full * dt) * math.max(1.0, trace.loadOf(full)) * bitrateBytesPerSec
     bytesPrefix(full) + math.max(0.0, partial)
   }
 
@@ -197,7 +197,7 @@ final class ClusterSim(
     val localTime = (1.0 - p.cloudFrac) * w / cores
     // Upload ships only the streams this config actually analyzes.
     val analyzed =
-      math.min(trace.configs(cfgIdx).streamCap, math.max(1.0, trace.load(i)))
+      math.min(trace.configs(cfgIdx).streamCap, math.max(1.0, trace.loadOf(i)))
     val uploadTime = p.cloudFrac * cloudBytesPerVideoSec * analyzed * dt / uplinkBytesPerSec
     math.max(localTime, uploadTime)
   }

@@ -72,8 +72,8 @@ final class SynthLaw(val spec: StreamSpec) extends Serializable {
 
   def apply(segId: Long): Segment = {
     val t    = segId.toDouble * spec.segSec
-    val day  = (t / 86400.0).toInt
-    val hour = (t / 3600.0) % 24.0
+    val day  = SynthLaw.day(segId, spec.segSec)
+    val hour = SynthLaw.floorRem(t / 3600.0, 24.0)
     // Activity factor; may exceed 1 on high-amplitude days.
     val activity = VideoSynth.diurnal(hour) * amps(day)
 
@@ -104,7 +104,7 @@ final class SynthLaw(val spec: StreamSpec) extends Serializable {
       case None => 1.0
       case Some(ls) =>
         val diurnalLoad = 14.0 * (0.45 + 0.75 * activity)
-        val high = if (ls.spikeHigh && t % 10800.0 < 420.0) 62.0 else 0.0
+        val high = if (ls.spikeHigh && SynthLaw.floorRem(t, 10800.0) < 420.0) 62.0 else 0.0
         val long =
           if (ls.spikeLongFromSec >= 0 && t >= ls.spikeLongFromSec && t < ls.spikeLongToSec) 30.0
           else 0.0
@@ -117,6 +117,27 @@ final class SynthLaw(val spec: StreamSpec) extends Serializable {
     }
 
     Segment(segId, t, day, hour, regime, difficulty, load)
+  }
+}
+
+object SynthLaw {
+
+  /** The day index of segment `segId` of a stream of `segSec`-second
+    * segments: the law's own expression, which a trace evaluates in place of
+    * a stored day column.
+    */
+  def day(segId: Long, segSec: Double): Int = ((segId.toDouble * segSec) / 86400.0).toInt
+
+  /** `x % m` for `x ≥ 0` and `m > 0`, bit for bit, without the `drem` call
+    * C2 compiles a double `%` into. `q` is never below ⌊x/m⌋ (rounding the
+    * quotient is monotone, and the integer ⌊x/m⌋ is representable), and when
+    * it is one above, `x − m·q` is negative. While `m·q` is exact, as for the
+    * law's 24 h and 10,800 s, both differences are exact (Sterbenz).
+    */
+  def floorRem(x: Double, m: Double): Double = {
+    val q = math.floor(x / m)
+    val r = x - m * q
+    if (r < 0) x - m * (q - 1) else r
   }
 }
 

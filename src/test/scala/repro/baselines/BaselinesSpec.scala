@@ -16,7 +16,7 @@ class BaselinesSpec extends AnyFunSuite {
     val diff = Array.tabulate(n)(i => 0.5 - 0.45 * math.cos(2 * math.Pi * i / n))
     val qual = Array.tabulate(n)(i => rhos.map(r => math.max(0.0, 1.0 - (1 - r) * diff(i))))
     SegmentTrace(dt,
-      Array.tabulate(n)(i => (i * dt / 86400).toInt), Array.fill(n)(0), diff,
+      Array.fill(n)(0), diff,
       Array.fill(n)(1.0), configs, Array.fill(n)(1.0), qual.flatten,
       Array.tabulate(n)(_ => costsPerSec.map(_ * dt)))
   }

@@ -12,11 +12,13 @@ class QualityMatrixSpec extends SparkSpec {
   test("trace dimensions") {
     assert(trace.nSegments == 86400 / 2)
     assert(trace.nConfigs == configs.length)
-    for (col <- Seq(trace.regime.length, trace.difficulty.length, trace.load.length,
-                    trace.dPow.length))
+    for (col <- Seq(trace.segs.regime.length, trace.difficulty.length, trace.dPow.length))
       assert(col == trace.nSegments)
+    assert(trace.segs.load.isEmpty)
     assert(trace.first == 0L)
   }
+
+  private def regimes(t: SegmentTrace): Array[Int] = Array.tabulate(t.nSegments)(t.regimeOf)
 
   /** Every (segment, config) cell of all three channels equals the scalar
     * model exactly, with the segment's own regime selecting ρ·affinity and
@@ -28,7 +30,7 @@ class QualityMatrixSpec extends SparkSpec {
       if (got != exp) fail(s"${w.name} $what: $got != $exp")
     for (i <- 0 until t.nSegments; k <- t.configs.indices) {
       val p = t.configs(k)
-      val (d, l, r) = (t.difficulty(i), t.load(i), t.regime(i))
+      val (d, l, r) = (t.difficulty(i), t.loadOf(i), t.regimeOf(i))
       same(t.qual(i, k), w.quality(p, first + i, d, l, r), s"qual seg=$i k=$k")
       same(t.qual(i, k), t.weight(i) * t.report(i, k), s"weight · report seg=$i k=$k")
       same(t.cost(i, k), w.costPerSec(p, l) * w.segSec, s"cost seg=$i k=$k")
@@ -37,11 +39,11 @@ class QualityMatrixSpec extends SparkSpec {
   }
 
   test("trace values match the scalar workload model") {
-    assert(trace.regime.distinct.length == Covid.NRegimes)
+    assert(regimes(trace).distinct.length == Covid.NRegimes)
     assertMatchesScalar(Covid, trace, 0L)
     val motCfgs = Mot.profiles.sortBy(_.unitCost).grouped(8).map(_.head).toVector
     val mot = QualityMatrix.trace(spark, Mot, 1, motCfgs)
-    assert(mot.regime.distinct.length == Mot.NRegimes)
+    assert(regimes(mot).distinct.length == Mot.NRegimes)
     assertMatchesScalar(Mot, mot, 0L)
     // The test trace of a fit starts where the train trace ends.
     val (_, train, test) = Skyscraper.fitAndTrace(Covid, Hyper(preSampleSize = 500),
@@ -72,18 +74,18 @@ class QualityMatrixSpec extends SparkSpec {
         val t = i * w.segSec
         if (bits(r.getAs[Double]("t")) != bits(t) ||
             bits(r.getAs[Double]("hour")) != bits(t / 3600.0 % 24.0) ||
-            r.getAs[Int]("day") != segs.day(i) || r.getAs[Int]("regime") != segs.regime(i) ||
+            r.getAs[Int]("day") != segs.dayOf(i) || r.getAs[Int]("regime") != segs.regimeOf(i) ||
             bits(r.getAs[Double]("difficulty")) != bits(segs.difficulty(i)) ||
-            bits(r.getAs[Double]("load")) != bits(segs.load(i)))
-          fail(s"$what seg=$i: $r != (${segs.day(i)}, ${segs.regime(i)}, " +
-               s"${segs.difficulty(i)}, ${segs.load(i)})")
+            bits(r.getAs[Double]("load")) != bits(segs.loadOf(i)))
+          fail(s"$what seg=$i: $r != (${segs.dayOf(i)}, ${segs.regimeOf(i)}, " +
+               s"${segs.difficulty(i)}, ${segs.loadOf(i)})")
       }
     }
   }
 
-  /** The deprecated whole-channel copies hold every cell bit for bit, in
-    * fresh arrays: readers of row arrays outside this build see the values
-    * the cell accessors give.
+  /** The deprecated whole-channel and column copies hold every value bit
+    * for bit, in fresh arrays: readers of row arrays outside this build see
+    * the values the cell and segment accessors give.
     */
   @nowarn("cat=deprecation")
   private def assertCopiesMatchCells(t: LawTrace): Unit = {
@@ -95,10 +97,16 @@ class QualityMatrixSpec extends SparkSpec {
         if (java.lang.Double.doubleToRawLongBits(m(i)(k)) != java.lang.Double.doubleToRawLongBits(cell(i, k)))
           fail(s"$name copy seg=$i k=$k: ${m(i)(k)} != ${cell(i, k)}")
     }
+    val (day, regime, load) = (t.day, t.regime, t.load)
+    for (i <- 0 until t.nSegments)
+      assert(day(i) == t.dayOf(i) && regime(i) == t.regimeOf(i) &&
+             java.lang.Double.compare(load(i), t.loadOf(i)) == 0, s"column copies seg=$i")
+    assert((t.day ne day) && (t.regime ne regime) && (t.load ne load), "column copies are cached")
     // Fresh arrays: filling every copied row changes none of the kept columns.
-    def columns = Seq(t.dPow, t.difficulty, t.load)
+    def columns = Seq(t.dPow, t.difficulty) ++ t.segs.load
     val kept = columns.map(_.clone())
     Seq(q, c, r).foreach(_.foreach(java.util.Arrays.fill(_, Double.NaN)))
+    java.util.Arrays.fill(load, Double.NaN)
     for ((col, col0) <- columns.zip(kept)) assert(java.util.Arrays.equals(col, col0))
   }
 
@@ -151,23 +159,26 @@ class QualityMatrixSpec extends SparkSpec {
     walk(root)
   }
 
-  test("a COVID or MOT trace stores at most 24 B per segment") {
+  test("a COVID or MOT trace stores at most 9 B per segment") {
     for (w <- Seq[Workload](Covid, Mot)) {
       val full = QualityMatrix.trace(w, QualityMatrix.segments(w, 1), w.profiles.take(4))
       for (t <- Seq(full, full.slice(0, full.nSegments / 2))) {
         val perSeg = streamArrayBytes(t, t.nSegments).toDouble / t.nSegments
-        assert(perSeg <= 24.0, s"${w.name}: $perSeg B per segment")
+        assert(perSeg <= 9.0, s"${w.name}: $perSeg B per segment")
       }
     }
   }
 
   test("day index is ordered and dayStart finds boundaries") {
-    assert(trace.day.head == 0)
+    assert(trace.dayOf(0) == 0)
     assert(trace.dayStart(0) == 0)
     val t2 = QualityMatrix.trace(spark, Covid, 2, configs.take(2))
     assert(t2.dayStart(1) == 86400 / 2)
-    assert(t2.day(t2.dayStart(1)) == 1)
-    assert(t2.day(t2.dayStart(1) - 1) == 0)
+    assert(t2.dayOf(t2.dayStart(1)) == 1)
+    assert(t2.dayOf(t2.dayStart(1) - 1) == 0)
+    assert(t2.dayStart(2) == t2.nSegments)
+    val tail = t2.slice(100, t2.nSegments)
+    assert(tail.dayStart(1) == 86400 / 2 - 100 && tail.dayOf(tail.dayStart(1)) == 1)
   }
 
   test("slice preserves alignment") {
@@ -184,6 +195,30 @@ class QualityMatrixSpec extends SparkSpec {
     assert(s.configs == trace.configs)
   }
 
+  test("a trace's day, load and regime equal the content law's bit for bit") {
+    def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+    for (w <- Seq[Workload](Covid, Mot, MoseiHigh, MoseiLong)) {
+      val law = new repro.video.SynthLaw(w.streamSpec(2, 7))
+      val full = QualityMatrix.trace(w, QualityMatrix.segments(w, 2), w.profiles.take(2))
+      assert(full.segs.load.isDefined == w.streamSpec(2, 7).loadSpec.isDefined, w.name)
+      val split = full.dayStart(1)
+      for (t <- Seq(full, full.slice(0, split), full.slice(split, full.nSegments),
+                    full.slice(1001, 5003))) {
+        for (i <- 0 until t.nSegments) {
+          val s = law(t.first + i)
+          if (t.dayOf(i) != s.day || t.regimeOf(i) != s.regime || bits(t.loadOf(i)) != bits(s.load))
+            fail(s"${w.name} first=${t.first} seg=$i: (${t.dayOf(i)}, ${t.regimeOf(i)}, " +
+                 s"${t.loadOf(i)}) != (${s.day}, ${s.regime}, ${s.load})")
+        }
+      }
+    }
+  }
+
+  test("maxTotalQuality is the sum of each segment's best quality") {
+    val best = (0 until trace.nSegments).map(i => configs.indices.map(trace.qual(i, _)).max).sum
+    assert(trace.maxTotalQuality == best)
+  }
+
   test("maxTotalQuality is an upper bound on any config's total") {
     for (k <- configs.indices) {
       val tot = (0 until trace.nSegments).map(trace.qual(_, k)).sum
@@ -196,8 +231,9 @@ class QualityMatrixSpec extends SparkSpec {
     val cfgs = MoseiHigh.profiles.filter(p => p.streamCap == 16.0).sortBy(_.unitCost)
       .grouped(10).map(_.head).toVector
     val t = QualityMatrix.trace(spark, MoseiHigh, 1, cfgs)
-    assert(t.load.distinct.length > 3)
-    val i = t.load.indexWhere(_ > 20)
+    val load = (0 until t.nSegments).map(t.loadOf)
+    assert(load.distinct.length > 3)
+    val i = load.indexWhere(_ > 20)
     assert(i >= 0)
     assert(math.abs(t.cost(i, 0) - cfgs(0).unitCost * 16.0 * MoseiHigh.segSec) < 1e-9)
     assertMatchesScalar(MoseiHigh, t, 0L)
@@ -211,10 +247,12 @@ class QualityMatrixSpec extends SparkSpec {
     val got = Seq[Workload](MoseiHigh, MoseiLong).map { w =>
       val cfgs = w.profiles.sortBy(_.unitCost).grouped(w.profiles.length / 12).map(_.head).toVector
       val t = QualityMatrix.trace(spark, w, 2, cfgs, seed = 7)
-      assert(t.load.max > cfgs.map(_.streamCap).min, s"${w.name}: no cell with coverage < 1")
+      val load = Array.tabulate(t.nSegments)(t.loadOf)
+      assert(load.max > cfgs.map(_.streamCap).min, s"${w.name}: no cell with coverage < 1")
       val d = new SkyscraperSpec.Digest
       cfgs.foreach(p => d.long(p.id.toLong))
-      d.ints(t.day); d.ints(t.regime); d.doubles(t.difficulty); d.doubles(t.load)
+      d.ints(Array.tabulate(t.nSegments)(t.dayOf)); d.ints(regimes(t))
+      d.doubles(t.difficulty); d.doubles(load)
       d.channels(t)
       w.name -> d.hex
     }.toMap

@@ -49,7 +49,7 @@ class SkyscraperSpec extends SparkSpec {
   test("train/test split boundaries are clean") {
     assert(train.nSegments == 2 * 86400 / 2)
     assert(test.nSegments == 86400 / 2)
-    assert(train.day.last == 1 && test.day.head == 2)
+    assert(train.dayOf(train.nSegments - 1) == 1 && test.dayOf(0) == 2)
   }
 
   test("never overflows the buffer (the V-ETL hard constraint)") {
@@ -126,8 +126,8 @@ class SkyscraperSpec extends SparkSpec {
     // arrays the trace holds, so those arrays cover every cell.
     def storage(t: LawTrace): Seq[(String, Array[Array[Double]])] =
       Seq("dPow" -> Array(t.dPow),
-          "difficulty" -> Array(t.difficulty), "load" -> Array(t.load),
-          "day, regime" -> Array(t.day.map(_.toDouble), t.regime.map(_.toDouble)))
+          "difficulty" -> Array(t.difficulty), "load" -> t.segs.load.toArray,
+          "regime" -> Array(t.segs.regime.map(_.toDouble)))
     val copies = Seq(train, test).map(storage(_).map(_._2.map(_.clone())))
 
     Skyscraper.fitFromTrace(Covid, model.configs, train, hyper)

@@ -17,8 +17,7 @@ class ByteAccountingSpec extends AnyFunSuite {
     val configs = Vector(
       ConfigProfile(KnobConfig(0, Vector()), 1.0, 0.5, Double.PositiveInfinity))
     SegmentTrace(dt,
-      Array.tabulate(n)(i => (i * dt / 86400).toInt), Array.fill(n)(0),
-      Array.fill(n)(0.5), loads, configs,
+      Array.fill(n)(0), Array.fill(n)(0.5), loads, configs,
       Array.fill(n)(1.0), Array.fill(n)(0.5),
       costs.map(c => Array(c)))
   }

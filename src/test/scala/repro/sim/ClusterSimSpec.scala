@@ -13,7 +13,6 @@ class ClusterSimSpec extends AnyFunSuite {
       ConfigProfile(KnobConfig(k, Vector()), costsPerSec(k), quals(k), Double.PositiveInfinity)
     }.toVector
     SegmentTrace(dt,
-      Array.tabulate(n)(i => (i * dt / 86400).toInt),
       Array.fill(n)(0), Array.fill(n)(0.5), Array.fill(n)(load),
       configs,
       Array.fill(n)(1.0),

@@ -24,6 +24,23 @@ class VideoSynthSpec extends SparkSpec {
     assert(segs.map(_.segId) == (0L until segs.length.toLong))
   }
 
+  test("the law's floor remainder equals Java's % bit for bit") {
+    // Every segment id of 64 days at the workloads' segment lengths: the
+    // hour of day and MOSEI's position in its 3-hour spike cycle.
+    def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+    var checked = 0L
+    for (segSec <- Seq(2.0, 7.0); id <- 0L until 64L * 86400 / segSec.toLong) {
+      val t = id.toDouble * segSec
+      val x = t / 3600.0
+      if (bits(SynthLaw.floorRem(x, 24.0)) != bits(x % 24.0) ||
+          bits(SynthLaw.floorRem(t, 10800.0)) != bits(t % 10800.0))
+        fail(s"segSec=$segSec id=$id: ${SynthLaw.floorRem(x, 24.0)} != ${x % 24.0} or " +
+             s"${SynthLaw.floorRem(t, 10800.0)} != ${t % 10800.0}")
+      checked += 1
+    }
+    assert(checked == 3554742L)
+  }
+
   test("schema and value ranges") {
     // The schema on the Spark view; the ranges on the driver's segments.
     val df = VideoSynth.segments(spark, spec)
