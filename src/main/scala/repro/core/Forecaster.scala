@@ -57,11 +57,19 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
 
   /** Sliding-window (input, target) pairs over a category sequence; one
     * training point every `sampleEveryMin` (paper: every 15 minutes).
-    * Histograms come from one prefix-count array, `counts(i·|C| + c)` =
-    * occurrences of c in cats[0, i): a count difference is the exact integer
-    * [[histogram]] sums, divided by the same n, so the values are equal.
     */
   def windows(cats: Array[Int]): Seq[(Array[Double], Array[Double])] = {
+    val hist = prefixHistogram(cats)
+    val starts = inputSegs until (cats.length - horizonSegs) by strideSegs
+    starts.map(end => (features(end, hist), hist(end, end + horizonSegs)))
+  }
+
+  /** [[histogram]] of `cats` from one prefix-count array, `counts(i·|C| + c)`
+    * = occurrences of c in cats[0, i): a count difference is the exact
+    * integer [[histogram]] sums, divided by the same n, so the values are
+    * equal. For passes that read many windows of one sequence.
+    */
+  private def prefixHistogram(cats: Array[Int]): (Int, Int) => Array[Double] = {
     val nC = nCategories
     val counts = new Array[Int]((cats.length + 1) * nC)
     var i = 0
@@ -70,7 +78,7 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
       counts((i + 1) * nC + cats(i)) += 1
       i += 1
     }
-    def hist(from: Int, until: Int): Array[Double] = {
+    (from, until) => {
       val h = Array.ofDim[Double](nC)
       val (a, b) = (math.max(0, from), math.min(cats.length, until))
       var c = 0
@@ -80,8 +88,6 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
       }
       h
     }
-    val starts = inputSegs until (cats.length - horizonSegs) by strideSegs
-    starts.map(end => (features(end, hist(_, _)), hist(end, end + horizonSegs)))
   }
 
   /** Train on the category sequence of the unlabeled data; returns best
@@ -98,8 +104,10 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
     * data to fit the net (short histories), falls back to the naive
     * input-window mean — the persistence forecast.
     */
-  def predict(cats: Array[Int], end: Int): Array[Double] = {
-    val x = features(cats, end)
+  def predict(cats: Array[Int], end: Int): Array[Double] = forecast(features(cats, end))
+
+  /** [[predict]]'s forecast from the feature vector `x`. */
+  private def forecast(x: Array[Double]): Array[Double] =
     if (trainedWindows >= 20) net.predict(x)
     else {
       val h = Array.tabulate(nCategories) { c =>
@@ -108,42 +116,21 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
       val s = h.sum
       if (s > 0) h.map(_ / s) else Array.fill(nCategories)(1.0 / nCategories)
     }
-  }
 
-  /** Mean absolute error over all test windows of `cats` (evaluation). */
-  def mae(cats: Array[Int]): Double = maeRange(cats, inputSegs, cats.length - horizonSegs)
-
-  /** MAE over windows whose forecast end lies in [endFrom, endUntil] —
-    * used to evaluate on a test suffix while inputs may reach into the
-    * training prefix (paper §5.6: train 16 days, forecast the 8 test days).
+  /** Mean absolute error of the forecasts whose end lies in [endFrom,
+    * endUntil], on the histograms [[windows]] reads — a test suffix, while
+    * inputs may reach into the training prefix (paper §5.6: train 16 days,
+    * forecast the 8 test days). Untrained, it scores the persistence
+    * forecast, the naive baseline.
     */
   def maeRange(cats: Array[Int], endFrom: Int, endUntil: Int): Double = {
     val ends = math.max(inputSegs, endFrom) to
       math.min(cats.length - horizonSegs, endUntil) by strideSegs
     if (ends.isEmpty) return Double.NaN
+    val hist = prefixHistogram(cats)
     val errs = ends.map { end =>
-      val p = predict(cats, end)
-      val y = histogram(cats, end, end + horizonSegs)
-      p.zip(y).map { case (a, b) => math.abs(a - b) }.sum / nCategories
-    }
-    errs.sum / errs.size
-  }
-}
-
-object Forecaster {
-  /** Naive predictor: the histogram of the whole input window — a sanity
-    * baseline the trained net must beat or match in tests.
-    */
-  def lastWindowMae(spec: ForecastSpec, nCategories: Int, segSec: Double,
-                    cats: Array[Int]): Double = {
-    val f  = new Forecaster(spec, nCategories, segSec)
-    val ws = f.windows(cats)
-    if (ws.isEmpty) return Double.NaN
-    val errs = ws.map { case (x, y) =>
-      // mean of the nSplits chunk histograms == full-window histogram
-      val p = Array.tabulate(nCategories) { c =>
-        (0 until spec.nSplits).map(s => x(s * nCategories + c)).sum / spec.nSplits
-      }
+      val p = forecast(features(end, hist))
+      val y = hist(end, end + horizonSegs)
       p.zip(y).map { case (a, b) => math.abs(a - b) }.sum / nCategories
     }
     errs.sum / errs.size

@@ -11,7 +11,8 @@ import repro.sim.{Decision, Placement, Probe}
   *  3. pick the config maximizing plan adherence, `argmax α_c[i] − α̂_c[i]`
   *     (Eq. 6), where α̂_c tracks what was actually used; then the cheapest
   *     placement that does not overflow the buffer, recursively degrading to
-  *     the next-less-qualitative config when no placement fits.
+  *     the next-less-qualitative config when no placement fits; when no
+  *     config fits, the cheapest at the largest offload within the budget.
   */
 final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
                          placements: Vector[Placement]) {
@@ -72,9 +73,13 @@ final class KnobSwitcher(cats: ContentCategories, qualHat: Array[Array[Double]],
     }
 
     // Nothing fits (should not happen when the cheapest config is
-    // provisioned to run in real time): cheapest config, max offload.
+    // provisioned to run in real time): the cheapest config at the largest
+    // offload the remaining budget pays for, else the cheapest placement.
+    // The buffer yields, not the budget; the simulator counts the overflow.
     val cheapest = (0 until nConfigs).minBy(probe.work)
-    Decision(cheapest, placements.maxBy(_.cloudFrac))
+    var m = byCloudCost.length - 1
+    while (m > 0 && probe.cloudCost(cheapest, byCloudCost(m)) > probe.cloudRemaining) m -= 1
+    Decision(cheapest, byCloudCost(m))
   }
 
   /** Update α̂ and re-classify the content category from the REPORTED

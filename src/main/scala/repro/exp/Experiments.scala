@@ -121,17 +121,8 @@ object Experiments {
   def table5(ws: Seq[Workload] = Seq(Covid, Mot)): Seq[T5Row] =
     // Horizons longer than the test stream have no evaluable forecast
     // windows; at full scale (8 test days) all four horizons run.
-    for (w <- ws; h <- Seq(1, 2, 4, 8) if h <= testDaysFor(w)) yield {
-      val (model, train, test) = fitted(w)
-      val testCats = ContentCategories.assignOnline(model.cats, test)
-      val all = model.trainCats ++ testCats
-      val spec = hyperFor(w).forecast.copy(horizonDays = h.toDouble)
-      val f = new Forecaster(spec, model.cats.n, w.segSec, hyperFor(w).seed)
-      f.fit(model.trainCats)
-      // Evaluate only forecasts that target the test period.
-      val mae = f.maeRange(all, model.trainCats.length, all.length)
-      T5Row(w.name, h, mae)
-    }
+    for (w <- ws; mae = forecastMae(w); h <- Seq(1, 2, 4, 8) if h <= testDaysFor(w))
+      yield T5Row(w.name, h, mae(hyperFor(w).forecast.copy(horizonDays = h.toDouble)))
 
   // ------------------------------------------------------------------
   // Table 6 (Appendix I.3): MAE vs input span × number of splits (COVID).
@@ -140,18 +131,27 @@ object Experiments {
   final case class T6Row(inputDays: Double, splits: Int, mae: Double)
 
   def table6(w: Workload = Covid): Seq[T6Row] = {
-    val (model, _, test) = fitted(w)
-    val testCats = ContentCategories.assignOnline(model.cats, test)
-    val all = model.trainCats ++ testCats
+    val mae = forecastMae(w)
     // Input spans beyond the training history cannot be featurized; at full
     // scale (16 train days) the whole grid runs.
     for (in <- Seq(0.5, 1.0, 2.0, 4.0, 8.0) if in <= trainDaysFor(w) - 1;
-         sp <- Seq(1, 2, 4, 8)) yield {
-      val spec = ForecastSpec(inputDays = in, nSplits = sp, horizonDays = 2,
-                              sampleEveryMin = 15)
+         sp <- Seq(1, 2, 4, 8))
+      yield T6Row(in, sp, mae(ForecastSpec(inputDays = in, nSplits = sp, horizonDays = 2,
+                                           sampleEveryMin = 15)))
+  }
+
+  /** A scorer of forecast specs on `w`: each spec's forecaster is fit on
+    * the training categories and scored by `maeRange` on the forecasts that
+    * target the test days. The scored stream, the training categories then
+    * the test days classified online (Eq. 5), is built once per scorer.
+    */
+  private def forecastMae(w: Workload): ForecastSpec => Double = {
+    val (model, _, test) = fitted(w)
+    val all = model.trainCats ++ ContentCategories.assignOnline(model.cats, test)
+    spec => {
       val f = new Forecaster(spec, model.cats.n, w.segSec, hyperFor(w).seed)
       f.fit(model.trainCats)
-      T6Row(in, sp, f.maeRange(all, model.trainCats.length, all.length))
+      f.maeRange(all, model.trainCats.length, all.length)
     }
   }
 
@@ -210,13 +210,10 @@ object Experiments {
   def switcherErrors(w: Workload): T56Row = {
     val (model, _, test) = fitted(w)
     val cats = model.cats
-    val dim = cats.discriminatorDim
     val truth   = ContentCategories.assignFull(cats, test)
     val typeA   = ContentCategories.assignOnline(cats, test)
-    val lagged  = Array.tabulate(test.nSegments) { i =>
-      val j = math.max(0, i - 1)
-      cats.classifyOnline(dim, test.report(j, dim))
-    }
+    // Segment i classified from segment i−1's report: typeA shifted by one.
+    val lagged  = Array.tabulate(test.nSegments)(i => typeA(math.max(0, i - 1)))
     def err(pred: Array[Int]): Double =
       pred.zip(truth).count { case (a, b) => a != b }.toDouble / truth.length
     T56Row(w.name, err(lagged), err(typeA))

@@ -66,7 +66,7 @@ class ForecasterSpec extends AnyFunSuite {
     val test  = diurnalCats(2, 60, nCats, seed = 4)
     val f = new Forecaster(spec, nCats, 60)
     f.fit(train)
-    val mae = f.mae(test)
+    val mae = f.maeRange(test, 0, test.length)
     // Uniform predictor's MAE on the same windows.
     val ws = f.windows(test)
     val uniformMae = ws.map { case (_, y) =>
@@ -99,8 +99,27 @@ class ForecasterSpec extends AnyFunSuite {
     val test  = diurnalCats(2, 60, nCats, seed = 4)
     val f = new Forecaster(spec, nCats, 60)
     f.fit(train)
-    val mae = f.mae(test)
-    val naive = Forecaster.lastWindowMae(spec, nCats, 60, test)
+    val mae = f.maeRange(test, 0, test.length)
+    // An untrained forecaster predicts the persistence forecast.
+    val naive = new Forecaster(spec, nCats, 60).maeRange(test, 0, test.length)
     assert(mae < naive * 1.5, s"mae=$mae naive=$naive")
+  }
+
+  test("windows' inputs and targets equal features and histogram bit for bit") {
+    def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val cats = diurnalCats(1, 60, 3, 5)
+    // nSplits 7 does not divide the 240-segment input span (chunks of 34).
+    for (sp <- Seq(spec, spec.copy(nSplits = 7))) {
+      val f = new Forecaster(sp, 3, 60)
+      val (inputSegs, horizonSegs, stride) = (240, 120, 30)
+      val ends = inputSegs until (cats.length - horizonSegs) by stride
+      val ws = f.windows(cats)
+      assert(ws.size == ends.size)
+      for (((x, y), end) <- ws.zip(ends)) {
+        assert(bits(x) == bits(f.features(cats, end)), s"nSplits=${sp.nSplits} end=$end")
+        assert(bits(y) == bits(f.histogram(cats, end, end + horizonSegs)),
+               s"nSplits=${sp.nSplits} end=$end")
+      }
+    }
   }
 }

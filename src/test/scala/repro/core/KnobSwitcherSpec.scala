@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.sim.{Placement, Probe}
+import repro.sim.{Decision, Placement, Probe}
 import repro.util.KMeansLocal
 
 class KnobSwitcherSpec extends AnyFunSuite {
@@ -13,12 +13,12 @@ class KnobSwitcherSpec extends AnyFunSuite {
   private def newCats = ContentCategories(KMeansLocal.Model(centers.map(_.clone())), 0)
 
   private class StubProbe(works: Array[Double],
-                          feasibleFn: (Int, Placement) => Boolean = (_, _) => true)
+                          feasibleFn: (Int, Placement) => Boolean = (_, _) => true,
+                          val cloudRemaining: Double = 0.0)
       extends Probe {
     def lagSec = 0.0
     def bufferBytes = 0.0
     def bufferCapBytes = 1e9
-    def cloudRemaining = 0.0
     def feasible(cfgIdx: Int, p: Placement): Boolean = feasibleFn(cfgIdx, p)
     def cloudCost(cfgIdx: Int, p: Placement): Double = p.cloudFrac * works(cfgIdx)
     def work(cfgIdx: Int): Double = works(cfgIdx)
@@ -68,10 +68,24 @@ class KnobSwitcherSpec extends AnyFunSuite {
   test("falls back to cheapest + max offload when nothing is feasible") {
     val sw = new KnobSwitcher(newCats, centers, Vector(Placement(0.0), Placement(1.0)))
     sw.setPlan(KnobPlan(Array(Array(1.0, 0.0, 0.0), Array(1.0, 0.0, 0.0))))
-    val probe = new StubProbe(works, (_, _) => false)
+    val probe = new StubProbe(works, (_, _) => false, cloudRemaining = 1.0)
     val d = sw.choose(probe)
     assert(d.cfgIdx == 0)
     assert(d.placement.cloudFrac == 1.0)
+  }
+
+  test("the last resort offloads only what the remaining budget pays for") {
+    val sw = new KnobSwitcher(newCats, centers,
+      Vector(Placement(0.0), Placement(0.5), Placement(1.0)))
+    sw.setPlan(KnobPlan(Array(Array(0.0, 0.0, 1.0), Array(0.0, 0.0, 1.0))))
+    // Config 0 (work 0.1) is the cheapest: offloading f of it costs 0.1·f.
+    def lastResort(remaining: Double) =
+      sw.choose(new StubProbe(works, (_, _) => false, remaining))
+    assert(lastResort(0.05) == Decision(0, Placement(0.5)))
+    assert(lastResort(0.0999) == Decision(0, Placement(0.5)))
+    assert(lastResort(0.1) == Decision(0, Placement(1.0)))
+    assert(lastResort(0.0) == Decision(0, Placement(0.0)))
+    assert(lastResort(-1.0) == Decision(0, Placement(0.0)))
   }
 
   test("prefers the cheapest (all-local) placement when feasible") {

@@ -1,7 +1,8 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.SegmentTrace
+import repro.core.{ContentCategories, KnobPlan, KnobSwitcher, SegmentTrace}
+import repro.util.KMeansLocal
 import repro.workload.{ConfigProfile, KnobConfig}
 
 class ClusterSimSpec extends AnyFunSuite {
@@ -102,6 +103,26 @@ class ClusterSimSpec extends AnyFunSuite {
     val r = sim(t, cores = 4, bufBytes = 10 * 90e3).run(ctrl)
     assert(sawInfeasible) // 100 core·s/s never fits 4 cores + 10 s buffer
     assert(r.overflows == 0)
+  }
+
+  test("the switcher's last resort keeps a $0 budget and the overflows are counted") {
+    // The cheapest config needs 8 core·s per video second, twice what 4
+    // cores give, so once the 10 s buffer fills no decision is feasible.
+    // At $0 the last resort must stay all-local, and the buffer overflows.
+    val quals = Array(0.5, 0.9)
+    val t = mkTrace(200, 2.0, Array(8.0, 16.0), quals)
+    val sw = new KnobSwitcher(ContentCategories(KMeansLocal.Model(Array(quals.clone())), 0),
+                              Array(quals), Placement.grid)
+    sw.setPlan(KnobPlan(Array(Array(1.0, 0.0))))
+    val ctrl = new Controller {
+      def choose(probe: Probe, segIdx: Int) = sw.choose(probe)
+      override def observe(segIdx: Int, cfgIdx: Int, qual: Double, report: Double): Unit =
+        sw.observe(cfgIdx, report)
+    }
+    val r = sim(t, cores = 4, bufBytes = 10 * 90e3).run(ctrl)
+    assert(r.cloudDollars <= 0.0, s"spent ${r.cloudDollars} of a $$0 budget")
+    assert(r.overflows > 0)
+    assert(r.chosen.forall(_ == 0))
   }
 
   test("probe cloud budget is enforced via cloudRemaining") {
