@@ -42,7 +42,7 @@ class OverheadBench extends AnyFunSuite {
     val (model, _, _) = Experiments.fitted(Covid)
     val t0 = System.nanoTime()
     val r = model.forecaster.predict(model.trainCats, model.trainCats.length)
-    val plan = KnobPlanner.plan(Skyscraper.qualHat(model), model.costHat, r,
+    val plan = KnobPlanner.plan(model.qualHat, model.costHat, r,
                                 budgetPerSeg = 8.0 * Covid.segSec)
     val sec = (System.nanoTime() - t0) / 1e9
     println(f"knob planner: $sec%.4f s (paper: < 1 s)")
@@ -64,5 +64,7 @@ class OverheadBench extends AnyFunSuite {
     println(f"planner LP at ${nC}x$nK: $sec%.4f s")
     assert(sec < 1.0)
     assert(KnobPlanner.expectedCost(plan, cost, r) <= 5.0 + 1e-6)
+    val opt = KnobPlannerSpec.lpOptimum(Seq(KnobPlanner.StreamPlanInput(qual, cost, r)), 5.0)
+    assert(math.abs(KnobPlanner.expectedQuality(plan, qual, r) - opt) < 1e-9)
   }
 }

@@ -1,6 +1,6 @@
 package jobs
 
-import repro.core.{KnobPlanner, Skyscraper}
+import repro.core.KnobPlanner
 import repro.etl.StreamingIngest
 import repro.exp.Experiments
 import repro.workload.Covid
@@ -24,7 +24,7 @@ object StreamingIngestJob {
 
     // One knob plan up front (the planner would refresh it every 2 days).
     val r = model.forecaster.predict(model.trainCats, model.trainCats.length)
-    val plan = KnobPlanner.plan(Skyscraper.qualHat(model), model.costHat, r,
+    val plan = KnobPlanner.plan(model.qualHat, model.costHat, r,
                                 budgetPerSeg = cores * Covid.segSec)
     val ingest = new StreamingIngest(model, plan)
     val query = ingest.start(spark, inDir, outDir, ckDir)

@@ -19,9 +19,9 @@ import repro.workload.Workload
   */
 object ChameleonStar {
 
-  final class ChameleonController(trace: SegmentTrace, profileEverySegs: Int,
+  final class ChameleonController(trace: SegmentTrace, start: Int, profileEverySegs: Int,
                                   cores: Int) extends Controller {
-    private var current = cheapestOverall(trace)
+    private var current = start
     var profilingWork = 0.0
 
     def choose(probe: Probe, segIdx: Int): Decision = {
@@ -50,12 +50,15 @@ object ChameleonStar {
   def cheapestOverall(trace: SegmentTrace): Int =
     (0 until trace.nConfigs).minBy(k => Iterator.range(0, trace.nSegments).map(trace.cost(_, k)).sum)
 
-  /** Simulate Chameleon* on `cores`. Default profiling period: 5 minutes. */
-  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double, w: Workload,
-          profileEverySec: Double = 300.0): RunResult = {
-    val everySegs = math.max(1, (profileEverySec / trace.segSec).toInt)
-    val sim = new ClusterSim(trace, cores, bufferBytes, 0.0,
+  /** Simulate Chameleon* on `cores`, starting from the config cheapest on
+    * `train` and profiling `test` as it runs. Default profiling period: 5
+    * minutes.
+    */
+  def run(train: SegmentTrace, test: SegmentTrace, cores: Int, bufferBytes: Double,
+          w: Workload, profileEverySec: Double = 300.0): RunResult = {
+    val everySegs = math.max(1, (profileEverySec / test.segSec).toInt)
+    val sim = new ClusterSim(test, cores, bufferBytes, 0.0,
       Machines.cloudPerCoreSec(), w.bitrateBytesPerSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
-    sim.run(new ChameleonController(trace, everySegs, cores))
+    sim.run(new ChameleonController(test, cheapestOverall(train), everySegs, cores))
   }
 }

@@ -36,10 +36,13 @@ object StaticBaseline {
     def choose(probe: Probe, segIdx: Int): Decision = Decision(k, Placement(0.0))
   }
 
-  /** Simulate the static baseline on `cores`. */
-  def run(trace: SegmentTrace, cores: Int, bufferBytes: Double, w: Workload): RunResult = {
-    val k = bestRealTimeConfig(trace, cores)
-    val sim = new ClusterSim(trace, cores, bufferBytes, 0.0,
+  /** Simulate the static baseline on `cores`: the config is picked on the
+    * `train` trace, then run on `test`.
+    */
+  def run(train: SegmentTrace, test: SegmentTrace, cores: Int, bufferBytes: Double,
+          w: Workload): RunResult = {
+    val k = bestRealTimeConfig(train, cores)
+    val sim = new ClusterSim(test, cores, bufferBytes, 0.0,
       Machines.cloudPerCoreSec(), w.bitrateBytesPerSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
     sim.run(new StaticController(k))
   }

@@ -224,7 +224,8 @@ object Skyscraper {
     }
   }
 
-  /** q̂(c)(k): the per-category expected application quality. */
+  /** The model's q̂(c)(k). Kept for `perfbench/` (ROADMAP item 1). */
+  @deprecated("read model.qualHat", "0.1.0")
   def qualHat(model: SkyscraperModel): Array[Array[Double]] = model.qualHat
 
   /** Simulate Skyscraper ingesting `test` on `cores` with the given buffer

@@ -58,18 +58,19 @@ object Experiments {
     Machines.onPremDollars(m, testDays * 24.0)
 
   def table2(w: Workload): Seq[T2Row] = {
-    val (model, _, test) = fitted(w)
+    val (model, train, test) = fitted(w)
     val testDays = testDaysFor(w)
     val rows = scala.collection.mutable.ArrayBuffer[T2Row]()
 
     for (m <- Machines.catalogue) {
-      // Static: best real-time config, no buffer use, no cloud.
-      val st = StaticBaseline.run(test, m.vCpus, BufferBytes, w)
+      // Static: best real-time config on the training days, no buffer use,
+      // no cloud.
+      val st = StaticBaseline.run(train, test, m.vCpus, BufferBytes, w)
       rows += T2Row(w.name, "Static", m.vCpus, st.qualityPct, 0.0,
                     onPremDollars(m, testDays), crashed = false)
     }
     for (m <- Machines.catalogue) {
-      val ch = ChameleonStar.run(test, m.vCpus, BufferBytes, w)
+      val ch = ChameleonStar.run(train, test, m.vCpus, BufferBytes, w)
       rows += T2Row(w.name, "Chameleon*", m.vCpus, ch.qualityPct, 0.0,
                     onPremDollars(m, testDays), crashed = ch.overflows > 0)
     }
@@ -187,9 +188,9 @@ object Experiments {
                            qualityPct: Double)
 
   def workComparison(w: Workload, vCpus: Int = 8): Seq[WorkRow] = {
-    val (model, _, test) = fitted(w)
+    val (model, train, test) = fitted(w)
     val sky = Skyscraper.run(model, test, vCpus, BufferBytes, 0.0)
-    val st = StaticBaseline.run(test, vCpus, BufferBytes, w)
+    val st = StaticBaseline.run(train, test, vCpus, BufferBytes, w)
     val opt = Optimum.assign(test, sky.workCoreSec)
     Seq(
       WorkRow(w.name, "Static", st.workCoreSec, st.qualityPct),
@@ -221,10 +222,10 @@ object Experiments {
 
   /** Appendix G: VideoStorm on a static V-ETL job behaves like Static. */
   def videoStorm(w: Workload): Seq[T2Row] = {
-    val (_, _, test) = fitted(w)
+    val (_, train, test) = fitted(w)
     val testDays = testDaysFor(w)
     Machines.catalogue.map { m =>
-      val r = VideoStormStar.run(test, m.vCpus, BufferBytes, w)
+      val r = VideoStormStar.run(train, test, m.vCpus, BufferBytes, w)
       T2Row(w.name, "VideoStorm*", m.vCpus, r.qualityPct, 0.0,
             onPremDollars(m, testDays), crashed = r.overflows > 0)
     }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.util.Simplex
 import repro.core.KnobPlanner.StreamPlanInput
 
 /** Appendix D: joint knob planning over multiple streams sharing a budget. */
@@ -88,21 +87,7 @@ class MultiStreamSpec extends AnyFunSuite {
     val q = plans.zip(streams).map { case (p, s) =>
       KnobPlanner.expectedQuality(p, s.qualHat, s.r)
     }.sum
-    // Reference: same LP assembled by hand.
-    val obj = Array.ofDim[Double](12)
-    val bud = Array.ofDim[Double](12)
-    for (v <- 0 until 2; c <- 0 until 2; k <- 0 until 3) {
-      obj(v * 6 + c * 3 + k) = r(c) * qual(c)(k)
-      bud(v * 6 + c * 3 + k) = r(c) * cost(c)(k)
-    }
-    val cons = Seq(Simplex.Constraint(bud, Simplex.Le, 6.0)) ++
-      (for (v <- 0 until 2; c <- 0 until 2) yield {
-        val row = Array.ofDim[Double](12)
-        for (k <- 0 until 3) row(v * 6 + c * 3 + k) = 1.0
-        Simplex.Constraint(row, Simplex.Eq, 1.0)
-      })
-    val ref = Simplex.maximize(obj, cons)
-    assert(ref.status == Simplex.Optimal)
-    assert(math.abs(q - ref.objective) < 1e-6, s"planner=$q reference=${ref.objective}")
+    val opt = KnobPlannerSpec.lpOptimum(streams, 6.0)
+    assert(math.abs(q - opt) < 1e-9, s"planner=$q optimum=$opt")
   }
 }
