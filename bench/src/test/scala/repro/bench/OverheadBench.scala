@@ -8,9 +8,23 @@ import repro.workload.Covid
 
 /** §5.5 (Fig. 13): decision overheads. The paper reports the knob switcher
   * below 1 ms per decision and the knob planner (forecast pass + LP) below
-  * 1 s; both must hold here too, including at inflated problem sizes.
+  * 1 s; both must hold here too, including at inflated problem sizes. Each
+  * row times a warm component: the switcher's mean over a long decision
+  * loop, the planner's median over repeated calls after as many warm-ups.
   */
 class OverheadBench extends AnyFunSuite {
+
+  /** Median wall seconds of `n` calls of `body`, after `n` untimed calls. */
+  private def warmMedianSec(n: Int)(body: => Any): Double = {
+    for (_ <- 0 until n) body
+    val secs = Array.fill(n) {
+      val t0 = System.nanoTime()
+      body
+      (System.nanoTime() - t0) / 1e9
+    }
+    java.util.Arrays.sort(secs)
+    secs(n / 2)
+  }
 
   private object FreeProbe extends Probe {
     def lagSec = 0.0; def bufferBytes = 0.0; def bufferCapBytes = 1e12
@@ -40,14 +54,15 @@ class OverheadBench extends AnyFunSuite {
 
   test("knob planner (forecast + LP) runs in under a second") {
     val (model, _, _) = Experiments.fitted(Covid)
-    val t0 = System.nanoTime()
-    val r = model.forecaster.predict(model.trainCats, model.trainCats.length)
-    val plan = KnobPlanner.plan(model.qualHat, model.costHat, r,
-                                budgetPerSeg = 8.0 * Covid.segSec)
-    val sec = (System.nanoTime() - t0) / 1e9
-    println(f"knob planner: $sec%.4f s (paper: < 1 s)")
+    def replan(): KnobPlan = {
+      val r = model.forecaster.predict(model.trainCats, model.trainCats.length)
+      KnobPlanner.plan(model.qualHat, model.costHat, r, budgetPerSeg = 8.0 * Covid.segSec)
+    }
+    val n = 200
+    val sec = warmMedianSec(n)(replan())
+    println(f"knob planner: ${sec * 1e3}%.3f ms, median of $n warm calls (paper: < 1 s)")
     assert(sec < 1.0)
-    assert(plan.alpha.forall(a => math.abs(a.sum - 1.0) < 1e-6))
+    assert(replan().alpha.forall(a => math.abs(a.sum - 1.0) < 1e-6))
   }
 
   test("planner LP stays sub-second at inflated problem sizes") {
@@ -58,13 +73,13 @@ class OverheadBench extends AnyFunSuite {
     val qual = Array.fill(nC, nK)(rng.nextDouble())
     val cost = Array.tabulate(nC, nK)((_, k) => 0.1 + k * 0.5)
     val r = Array.fill(nC)(1.0 / nC)
-    val t0 = System.nanoTime()
-    val plan = KnobPlanner.plan(qual, cost, r, budgetPerSeg = 5.0)
-    val sec = (System.nanoTime() - t0) / 1e9
-    println(f"planner LP at ${nC}x$nK: $sec%.4f s")
+    val n = 2000
+    val sec = warmMedianSec(n)(KnobPlanner.plan(qual, cost, r, budgetPerSeg = 5.0))
+    println(f"planner LP at ${nC}x$nK: ${sec * 1e3}%.3f ms, median of $n warm calls")
     assert(sec < 1.0)
-    assert(KnobPlanner.expectedCost(plan, cost, r) <= 5.0 + 1e-6)
+    val plan = KnobPlanner.plan(qual, cost, r, budgetPerSeg = 5.0)
+    assert(KnobPlannerSpec.expected(plan, cost, r) <= 5.0 + 1e-6)
     val opt = KnobPlannerSpec.lpOptimum(Seq(KnobPlanner.StreamPlanInput(qual, cost, r)), 5.0)
-    assert(math.abs(KnobPlanner.expectedQuality(plan, qual, r) - opt) < 1e-9)
+    assert(math.abs(KnobPlannerSpec.expected(plan, qual, r) - opt) < 1e-9)
   }
 }

@@ -38,10 +38,10 @@ object Optimum {
       quality += trace.qual(i, chosen(i))
     }
 
-    // Upgrade steps ordered by efficiency. A heap keyed on the NEXT upgrade
-    // of each segment yields the greedy order (frontier steps per segment
-    // have decreasing efficiency only approximately, so we re-insert).
-    final case class Step(i: Int, lvl: Int, dq: Double, dc: Double) {
+    // Upgrade steps ordered by efficiency. The heap holds each segment's
+    // NEXT upgrade only, pushed once the previous one is bought, since a
+    // segment's frontier steps need not lose efficiency in order.
+    final case class Step(i: Int, dq: Double, dc: Double) {
       def eff: Double = dq / math.max(dc, 1e-12)
     }
     implicit val ord: Ordering[Step] = Ordering.by((s: Step) => s.eff)
@@ -52,7 +52,7 @@ object Optimum {
       if (l + 1 < f.length) {
         val dq = trace.qual(i, f(l + 1)) - trace.qual(i, f(l))
         val dc = trace.cost(i, f(l + 1)) - trace.cost(i, f(l))
-        heap += Step(i, l, dq, dc)
+        heap += Step(i, dq, dc)
       }
     }
     (0 until n).foreach(push)
@@ -61,7 +61,7 @@ object Optimum {
     // ones (greedy 0-1 behaviour).
     while (heap.nonEmpty) {
       val s = heap.dequeue()
-      if (s.lvl == level(s.i) && work + s.dc <= budgetCoreSec) {
+      if (work + s.dc <= budgetCoreSec) {
         level(s.i) += 1
         val k = frontiers(s.i)(level(s.i))
         work += s.dc

@@ -7,26 +7,33 @@ import repro.util.KMeansLocal
   * Segments are clustered purely by the REPORTED quality vector (the
   * certainty metric the user code extracts while processing, §4.2) — the
   * system never looks at pixels (or here, at the latent difficulty). A
-  * category c is its KMeans center: the expected reported quality of every
-  * config k on content of that category. The application-quality centers
-  * q̂(k, c) the planner optimizes are computed separately per category
-  * (`Skyscraper.meanByCategory`).
+  * category c is its KMeans center: `centers(c)(k)` is the expected reported
+  * quality of config k on content of that category. The application-quality
+  * centers q̂(k, c) the planner optimizes are computed separately per
+  * category (`Skyscraper.meanByCategory`).
   */
-final case class ContentCategories(model: KMeansLocal.Model, discriminatorDim: Int) {
+final case class ContentCategories(centers: Array[Array[Double]], discriminatorDim: Int) {
   /** Number of categories |C|. */
-  def n: Int = model.k
-
-  /** Expected REPORTED quality of config index k on category c. */
-  def center(c: Int, k: Int): Double = model.centers(c)(k)
+  def n: Int = centers.length
 
   /** Ground-truth-style classification from the full report vector. */
-  def classifyFull(qualVec: Array[Double]): Int = model.classify(qualVec)
+  def classifyFull(qualVec: Array[Double]): Int = KMeansLocal.nearest(centers, qualVec)
 
   /** Online classification (paper Eq. 5): only the reported quality of the
-    * currently running config `k` is observable.
+    * currently running config `k` is observable, so the category is the
+    * center nearest along dimension `k`; a tie goes to the lowest index.
     */
-  def classifyOnline(k: Int, reportedQual: Double): Int =
-    model.classifyByDim(k, reportedQual)
+  def classifyOnline(k: Int, reportedQual: Double): Int = {
+    var best = 0
+    var bestD = Double.MaxValue
+    var c = 0
+    while (c < centers.length) {
+      val d = math.abs(centers(c)(k) - reportedQual)
+      if (d < bestD) { bestD = d; best = c }
+      c += 1
+    }
+    best
+  }
 }
 
 object ContentCategories {
@@ -44,8 +51,8 @@ object ContentCategories {
     val stride = math.max(1, (1.0 / math.max(sampleFrac, 1e-6)).toInt)
     val offset = Math.floorMod(seed, stride.toLong).toInt
     val sample = (offset until n by stride).map(trace.reportRow).toVector
-    val model  = KMeansLocal.fit(sample, nCategories)
-    ContentCategories(model, discriminatorDim(model))
+    val centers = KMeansLocal.fit(sample, nCategories)
+    ContentCategories(centers, discriminatorDim(centers))
   }
 
   /** The paper classifies training segments with the cheapest config k⁻,
@@ -53,11 +60,11 @@ object ContentCategories {
     * the next-cheapest discriminating config is used. A dimension
     * discriminates if the category centers are spread along it.
     */
-  def discriminatorDim(model: KMeansLocal.Model): Int = {
-    val k = model.centers.headOption.map(_.length).getOrElse(0)
-    if (k == 0 || model.k <= 1) return 0
+  def discriminatorDim(centers: Array[Array[Double]]): Int = {
+    val k = centers.headOption.map(_.length).getOrElse(0)
+    if (k == 0 || centers.length <= 1) return 0
     def spread(dim: Int): Double = {
-      val vals = model.centers.map(_(dim)).sorted
+      val vals = centers.map(_(dim)).sorted
       vals.sliding(2).map { case Array(a, b) => b - a; case _ => 0.0 }.min
     }
     val spreads = (0 until k).map(spread)

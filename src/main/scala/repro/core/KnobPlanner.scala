@@ -104,16 +104,4 @@ object KnobPlanner {
     }
     hull.toArray
   }
-
-  /** Expected per-segment work of a plan (used by tests and budgeting). */
-  def expectedCost(plan: KnobPlan, costHat: Array[Array[Double]], r: Array[Double]): Double =
-    (0 until plan.nCategories).map { c =>
-      r(c) * (0 until plan.nConfigs).map(k => plan.alpha(c)(k) * costHat(c)(k)).sum
-    }.sum
-
-  /** Expected per-segment quality of a plan. */
-  def expectedQuality(plan: KnobPlan, qualHat: Array[Array[Double]], r: Array[Double]): Double =
-    (0 until plan.nCategories).map { c =>
-      r(c) * (0 until plan.nConfigs).map(k => plan.alpha(c)(k) * qualHat(c)(k)).sum
-    }.sum
 }

@@ -63,23 +63,21 @@ object Skyscraper {
     * configuration set K and evaluate their cells on read, and the model
     * records each step's wall time. The whole fit runs on the driver.
     */
-  def fitAndTrace(w: Workload, hyper: Hyper = Hyper(), trainDays: Int = -1,
-                  testDays: Int = -1): (SkyscraperModel, LawTrace, LawTrace) = {
-    val trD = if (trainDays > 0) trainDays else w.trainDays
-    val teD = if (testDays > 0) testDays else w.testDays
+  def fitAndTrace(w: Workload, hyper: Hyper, trainDays: Int,
+                  testDays: Int): (SkyscraperModel, LawTrace, LawTrace) = {
     val clock = new StepClock
 
     // 1. Filter knob configurations on a content-diverse pre-sample of the
     //    train+test stream's training prefix. Synthesizing the stream is part
     //    of the full-data pass (Table 3's forecast training data).
-    val segs = clock(TrainingData)(QualityMatrix.segments(w, trD + teD, hyper.seed))
+    val segs = clock(TrainingData)(QualityMatrix.segments(w, trainDays + testDays, hyper.seed))
     val k = clock(FilterConfigs)(
-      Pareto.filterConfigs(w, preSample(w, segs, trD, hyper.preSampleSize), hyper.maxK))
+      Pareto.filterConfigs(w, preSample(w, segs, trainDays, hyper.preSampleSize), hyper.maxK))
 
     // 2. One trace over train+test for the filtered K.
     val (train, test) = clock(TrainingData) {
       val full = QualityMatrix.trace(w, segs, k)
-      val split = full.dayStart(trD)
+      val split = full.dayStart(trainDays)
       (full.slice(0, split), full.slice(split, full.nSegments))
     }
 

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
 import repro.core._
-import repro.sim.Machines
+import repro.sim.{Machine, Machines, RunResult}
 import repro.workload._
 
 /** Harnesses reproducing the paper's evaluation tables (see DESIGN.md §4).
@@ -54,34 +54,31 @@ object Experiments {
       f"$cloudDollars%7.2f$$  $totalDollars%8.2f$$  ${if (crashed) "CRASH" else ""}%s"
   }
 
-  def onPremDollars(m: repro.sim.Machine, testDays: Int): Double =
+  def onPremDollars(m: Machine, testDays: Int): Double =
     Machines.onPremDollars(m, testDays * 24.0)
+
+  /** The Table 2 row of `method`'s run `r` on machine `m`: total $ is the
+    * on-prem rent over the test days plus the cloud $ the run spent, and the
+    * row is crashed if the run's buffer overflowed.
+    */
+  def t2Row(w: Workload, method: String, m: Machine, r: RunResult): T2Row = {
+    val onPrem = onPremDollars(m, testDaysFor(w))
+    T2Row(w.name, method, m.vCpus, r.qualityPct, r.cloudDollars, onPrem + r.cloudDollars,
+          crashed = r.overflows > 0)
+  }
 
   def table2(w: Workload): Seq[T2Row] = {
     val (model, train, test) = fitted(w)
-    val testDays = testDaysFor(w)
-    val rows = scala.collection.mutable.ArrayBuffer[T2Row]()
-
-    for (m <- Machines.catalogue) {
-      // Static: best real-time config on the training days, no buffer use,
-      // no cloud.
-      val st = StaticBaseline.run(train, test, m.vCpus, BufferBytes, w)
-      rows += T2Row(w.name, "Static", m.vCpus, st.qualityPct, 0.0,
-                    onPremDollars(m, testDays), crashed = false)
+    // Static: best real-time config on the training days, no buffer use,
+    // no cloud.
+    Machines.catalogue.map(m =>
+      t2Row(w, "Static", m, StaticBaseline.run(train, test, m.vCpus, BufferBytes, w))) ++
+    Machines.catalogue.map(m =>
+      t2Row(w, "Chameleon*", m, ChameleonStar.run(train, test, m.vCpus, BufferBytes, w))) ++
+    Machines.catalogue.map { m =>
+      val budget = 0.12 * onPremDollars(m, testDaysFor(w))
+      t2Row(w, "Skyscraper", m, Skyscraper.run(model, test, m.vCpus, BufferBytes, budget))
     }
-    for (m <- Machines.catalogue) {
-      val ch = ChameleonStar.run(train, test, m.vCpus, BufferBytes, w)
-      rows += T2Row(w.name, "Chameleon*", m.vCpus, ch.qualityPct, 0.0,
-                    onPremDollars(m, testDays), crashed = ch.overflows > 0)
-    }
-    for (m <- Machines.catalogue) {
-      val onPrem = onPremDollars(m, testDays)
-      val budget = 0.12 * onPrem
-      val sky = Skyscraper.run(model, test, m.vCpus, BufferBytes, budget)
-      rows += T2Row(w.name, "Skyscraper", m.vCpus, sky.qualityPct, sky.cloudDollars,
-                    onPrem + sky.cloudDollars, crashed = sky.overflows > 0)
-    }
-    rows.toSeq
   }
 
   // ------------------------------------------------------------------
@@ -223,11 +220,7 @@ object Experiments {
   /** Appendix G: VideoStorm on a static V-ETL job behaves like Static. */
   def videoStorm(w: Workload): Seq[T2Row] = {
     val (_, train, test) = fitted(w)
-    val testDays = testDaysFor(w)
-    Machines.catalogue.map { m =>
-      val r = VideoStormStar.run(train, test, m.vCpus, BufferBytes, w)
-      T2Row(w.name, "VideoStorm*", m.vCpus, r.qualityPct, 0.0,
-            onPremDollars(m, testDays), crashed = r.overflows > 0)
-    }
+    Machines.catalogue.map(m =>
+      t2Row(w, "VideoStorm*", m, VideoStormStar.run(train, test, m.vCpus, BufferBytes, w)))
   }
 }

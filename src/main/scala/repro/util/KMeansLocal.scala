@@ -11,31 +11,8 @@ package repro.util
   */
 object KMeansLocal {
 
-  /** Fitted model: `centers(c)(k)` = average quality of config k on category c. */
-  final case class Model(centers: Array[Array[Double]]) {
-    def k: Int = centers.length
-
-    /** Full-vector nearest-center classification. */
-    def classify(v: Array[Double]): Int = nearest(centers, v)
-
-    /** Single-dimension classification (paper Eq. 5): nearest center along
-      * dimension `dim` only — what the knob switcher can observe online.
-      */
-    def classifyByDim(dim: Int, value: Double): Int = {
-      var best = 0
-      var bestD = Double.MaxValue
-      var c = 0
-      while (c < centers.length) {
-        val d = math.abs(centers(c)(dim) - value)
-        if (d < bestD) { bestD = d; best = c }
-        c += 1
-      }
-      best
-    }
-  }
-
   /** Index of the center nearest to `v`; a tie goes to the lowest index. */
-  private def nearest(centers: Array[Array[Double]], v: Array[Double]): Int = {
+  def nearest(centers: Array[Array[Double]], v: Array[Double]): Int = {
     var best = 0
     var bestD = Double.MaxValue
     var c = 0
@@ -57,8 +34,10 @@ object KMeansLocal {
   /** Lloyd iterations stop after this many rounds if assignments still change. */
   private final val MaxIter = 100
 
-  /** Fit `k` clusters on `points`; deterministic in (points, k). */
-  def fit(points: Seq[Array[Double]], k: Int): Model = {
+  /** Fit `k` clusters on `points`; deterministic in (points, k). Returns
+    * the centers, at most `k` (no more than there are points).
+    */
+  def fit(points: Seq[Array[Double]], k: Int): Array[Array[Double]] = {
     require(points.nonEmpty, "KMeans on empty point set")
     require(k >= 1, "k must be >= 1")
     val pts  = points.toArray
@@ -101,6 +80,6 @@ object KMeansLocal {
         centers(c) = sums(c).map(_ / counts(c))
       iter += 1
     }
-    Model(centers.map(_.clone()))
+    centers
   }
 }

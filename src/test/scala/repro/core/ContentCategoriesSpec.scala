@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.KMeansLocal
 import repro.workload.Covid
 
 class ContentCategoriesSpec extends AnyFunSuite {
@@ -13,20 +14,20 @@ class ContentCategoriesSpec extends AnyFunSuite {
 
   test("fit produces the requested number of categories") {
     assert(cats.n == 3)
-    assert(cats.model.centers.forall(_.length == configs.length))
+    assert(cats.centers.forall(_.length == configs.length))
   }
 
   test("a negative seed picks the sample offset seed mod stride") {
     // sampleFrac 0.05 is a stride of 20: seed -1 samples from offset 19, as 19 does.
     val neg = ContentCategories.fit(trace, nCategories = 3, sampleFrac = 0.05, seed = -1)
     val pos = ContentCategories.fit(trace, nCategories = 3, sampleFrac = 0.05, seed = 19)
-    assert(neg.model.centers.map(_.toSeq).toSeq == pos.model.centers.map(_.toSeq).toSeq)
+    assert(neg.centers.map(_.toSeq).toSeq == pos.centers.map(_.toSeq).toSeq)
     assert(neg.discriminatorDim == pos.discriminatorDim)
   }
 
   test("cluster centers are valid qualities") {
     for (c <- 0 until cats.n; k <- configs.indices)
-      assert(cats.center(c, k) >= 0 && cats.center(c, k) <= 1)
+      assert(cats.centers(c)(k) >= 0 && cats.centers(c)(k) <= 1)
   }
 
   test("categories order configs consistently: hard categories hurt cheap configs") {
@@ -35,20 +36,32 @@ class ContentCategoriesSpec extends AnyFunSuite {
     val cheapIdx = configs.indices.minBy(configs(_).unitCost)
     val topIdx   = configs.indices.maxBy(configs(_).rho)
     for (c <- 0 until cats.n)
-      assert(cats.center(c, topIdx) >= cats.center(c, cheapIdx) - 0.05,
-        s"cat $c: top=${cats.center(c, topIdx)} cheap=${cats.center(c, cheapIdx)}")
+      assert(cats.centers(c)(topIdx) >= cats.centers(c)(cheapIdx) - 0.05,
+        s"cat $c: top=${cats.centers(c)(topIdx)} cheap=${cats.centers(c)(cheapIdx)}")
   }
 
   test("categories separate content hardness") {
     // The categories' mean qualities (averaged over configs) must differ —
     // otherwise clustering found nothing.
-    val means = (0 until cats.n).map(c => configs.indices.map(cats.center(c, _)).sum / configs.length)
+    val means = (0 until cats.n).map(c => configs.indices.map(cats.centers(c)(_)).sum / configs.length)
     assert(means.max - means.min > 0.1, s"means=$means")
   }
 
   test("classifyFull assigns each center to itself") {
     for (c <- 0 until cats.n)
-      assert(cats.classifyFull(cats.model.centers(c)) == c)
+      assert(cats.classifyFull(cats.centers(c)) == c)
+  }
+
+  test("classifyOnline discriminates along one dimension") {
+    val pts = Seq(Array(0.0, 100.0), Array(0.1, 100.0), Array(5.0, 100.0), Array(5.1, 100.0))
+    val two = ContentCategories(KMeansLocal.fit(pts, 2), 0)
+    // Along dim 0 the clusters differ; dim-0-only classification must agree
+    // with the full classification.
+    assert(two.classifyOnline(0, 0.05) == two.classifyFull(Array(0.05, 100.0)))
+    assert(two.classifyOnline(0, 5.05) == two.classifyFull(Array(5.05, 100.0)))
+    assert(two.classifyOnline(0, 0.05) != two.classifyOnline(0, 5.05))
+    // Equidistant centers: the tie goes to the lowest index.
+    assert(ContentCategories(Array(Array(1.0), Array(0.0)), 0).classifyOnline(0, 0.5) == 0)
   }
 
   test("online (single-dim) classification mostly agrees with full classification") {
@@ -60,7 +73,7 @@ class ContentCategoriesSpec extends AnyFunSuite {
 
   test("discriminator dim has spread centers") {
     val dim = cats.discriminatorDim
-    val vals = (0 until cats.n).map(cats.center(_, dim)).sorted
+    val vals = (0 until cats.n).map(cats.centers(_)(dim)).sorted
     assert(vals.last - vals.head > 0.05)
   }
 
@@ -70,8 +83,8 @@ class ContentCategoriesSpec extends AnyFunSuite {
   }
 
   test("fit is deterministic") {
-    val a = ContentCategories.fit(trace, 3).model.centers.map(_.toList).toList
-    val b = ContentCategories.fit(trace, 3).model.centers.map(_.toList).toList
+    val a = ContentCategories.fit(trace, 3).centers.map(_.toList).toList
+    val b = ContentCategories.fit(trace, 3).centers.map(_.toList).toList
     assert(a == b)
   }
 }

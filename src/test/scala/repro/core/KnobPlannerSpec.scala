@@ -28,7 +28,7 @@ class KnobPlannerSpec extends AnyFunSuite {
   test("plan respects the budget in expectation") {
     for (budget <- Seq(0.2, 1.0, 3.0, 8.0)) {
       val p = KnobPlanner.plan(qualHat, costHat, r, budget)
-      val cost = KnobPlanner.expectedCost(p, costHat, r)
+      val cost = KnobPlannerSpec.expected(p, costHat, r)
       assert(cost <= budget + 1e-7, s"budget=$budget cost=$cost")
     }
   }
@@ -56,7 +56,7 @@ class KnobPlannerSpec extends AnyFunSuite {
   test("expected quality is monotone in budget") {
     val quals = Seq(0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0).map { b =>
       val p = KnobPlanner.plan(qualHat, costHat, r, b)
-      KnobPlanner.expectedQuality(p, qualHat, r)
+      KnobPlannerSpec.expected(p, qualHat, r)
     }
     quals.sliding(2).foreach { case Seq(a, b) => assert(b >= a - 1e-9); case _ => }
   }
@@ -85,7 +85,7 @@ class KnobPlannerSpec extends AnyFunSuite {
     val q = Array(Array(0.5, 0.9), Array(0.5, 0.9))
     val c = Array(Array(0.1, 1.0), Array(0.1, 10.0))
     val p = KnobPlanner.plan(q, c, Array(0.5, 0.5), budgetPerSeg = 1.0)
-    assert(KnobPlanner.expectedCost(p, c, Array(0.5, 0.5)) <= 1.0 + 1e-9)
+    assert(KnobPlannerSpec.expected(p, c, Array(0.5, 0.5)) <= 1.0 + 1e-9)
     // Upgrading cat 0 (cost 0.5) is cheaper than cat 1 (cost 5) for the same
     // quality gain → cat 0 gets the upgrade first.
     assert(p.alpha(0)(1) > p.alpha(1)(1))
@@ -150,8 +150,8 @@ class KnobPlannerSpec extends AnyFunSuite {
       val plans = KnobPlanner.planJoint(streams, budget)
       for (p <- plans; a <- p.alpha)
         assert(a.forall(_ >= 0) && math.abs(a.sum - 1.0) < 1e-12, s"seed $seed: ${a.toSeq}")
-      val cost = plans.zip(streams).map { case (p, s) => KnobPlanner.expectedCost(p, s.costHat, s.r) }.sum
-      val qual = plans.zip(streams).map { case (p, s) => KnobPlanner.expectedQuality(p, s.qualHat, s.r) }.sum
+      val cost = plans.zip(streams).map { case (p, s) => KnobPlannerSpec.expected(p, s.costHat, s.r) }.sum
+      val qual = plans.zip(streams).map { case (p, s) => KnobPlannerSpec.expected(p, s.qualHat, s.r) }.sum
       if (budget < lo) {
         infeasible += 1
         for ((p, s) <- plans.zip(streams); c <- s.costHat.indices; cs = s.costHat(c))
@@ -168,6 +168,14 @@ class KnobPlannerSpec extends AnyFunSuite {
 }
 
 object KnobPlannerSpec {
+
+  /** A plan's expected per-segment value of a per-category table `x`,
+    * Σ_c r_c · Σ_k α_{k,c} · x(c)(k): its cost for x = ĉ, its quality for x = q̂.
+    */
+  def expected(plan: KnobPlan, x: Array[Array[Double]], r: Array[Double]): Double =
+    (0 until plan.nCategories).map { c =>
+      r(c) * (0 until plan.nConfigs).map(k => plan.alpha(c)(k) * x(c)(k)).sum
+    }.sum
 
   /** The planner LP's optimum, by duality. For every λ ≥ 0,
     * D(λ) = λ·B + Σ_g r_g · max_k (q̂_gk − λ·ĉ_gk) bounds it from above. D is

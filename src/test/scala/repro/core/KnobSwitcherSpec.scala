@@ -2,7 +2,6 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.sim.{Decision, Placement, Probe}
-import repro.util.KMeansLocal
 
 class KnobSwitcherSpec extends AnyFunSuite {
 
@@ -10,7 +9,7 @@ class KnobSwitcherSpec extends AnyFunSuite {
   private val centers = Array(
     Array(0.9, 0.95, 0.99), // easy: everyone fine
     Array(0.2, 0.55, 0.95)) // hard: cheap config collapses
-  private def newCats = ContentCategories(KMeansLocal.Model(centers.map(_.clone())), 0)
+  private def newCats = ContentCategories(centers.map(_.clone()), 0)
 
   private class StubProbe(works: Array[Double],
                           feasibleFn: (Int, Placement) => Boolean = (_, _) => true,

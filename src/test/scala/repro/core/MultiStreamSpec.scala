@@ -12,7 +12,7 @@ class MultiStreamSpec extends AnyFunSuite {
   private def stream = StreamPlanInput(qual.map(_.clone()), cost.map(_.clone()), r.clone())
 
   private def jointCost(plans: Seq[KnobPlan], streams: Seq[StreamPlanInput]): Double =
-    plans.zip(streams).map { case (p, s) => KnobPlanner.expectedCost(p, s.costHat, s.r) }.sum
+    plans.zip(streams).map { case (p, s) => KnobPlannerSpec.expected(p, s.costHat, s.r) }.sum
 
   test("joint plans respect the shared budget") {
     val streams = Seq(stream, stream, stream)
@@ -47,13 +47,13 @@ class MultiStreamSpec extends AnyFunSuite {
       Array(Array(0.90, 0.92)), Array(Array(0.1, 8.0)), Array(1.0))
     val budget = 8.2
     val joint = KnobPlanner.planJoint(Seq(hungry, happy), budget)
-    val jointQ = KnobPlanner.expectedQuality(joint(0), hungry.qualHat, hungry.r) +
-      KnobPlanner.expectedQuality(joint(1), happy.qualHat, happy.r)
+    val jointQ = KnobPlannerSpec.expected(joint(0), hungry.qualHat, hungry.r) +
+      KnobPlannerSpec.expected(joint(1), happy.qualHat, happy.r)
     val split = Seq(
       KnobPlanner.plan(hungry.qualHat, hungry.costHat, hungry.r, budget / 2),
       KnobPlanner.plan(happy.qualHat, happy.costHat, happy.r, budget / 2))
-    val splitQ = KnobPlanner.expectedQuality(split(0), hungry.qualHat, hungry.r) +
-      KnobPlanner.expectedQuality(split(1), happy.qualHat, happy.r)
+    val splitQ = KnobPlannerSpec.expected(split(0), hungry.qualHat, hungry.r) +
+      KnobPlannerSpec.expected(split(1), happy.qualHat, happy.r)
     assert(jointQ > splitQ + 0.05, s"joint=$jointQ split=$splitQ")
   }
 
@@ -85,7 +85,7 @@ class MultiStreamSpec extends AnyFunSuite {
     val streams = Seq(stream, stream)
     val plans = KnobPlanner.planJoint(streams, budgetPerSeg = 6.0)
     val q = plans.zip(streams).map { case (p, s) =>
-      KnobPlanner.expectedQuality(p, s.qualHat, s.r)
+      KnobPlannerSpec.expected(p, s.qualHat, s.r)
     }.sum
     val opt = KnobPlannerSpec.lpOptimum(streams, 6.0)
     assert(math.abs(q - opt) < 1e-9, s"planner=$q optimum=$opt")

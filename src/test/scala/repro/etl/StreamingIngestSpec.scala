@@ -29,8 +29,8 @@ class StreamingIngestSpec extends SparkSpec {
     val nK = model.configs.length
     val alpha = Array.tabulate(model.cats.n, nK) { (c, k) =>
       // Pick the cheapest config within 0.05 of the category's best quality.
-      val best = (0 until nK).map(model.cats.center(c, _)).max
-      val eligible = (0 until nK).filter(model.cats.center(c, _) >= best - 0.05)
+      val best = (0 until nK).map(model.cats.centers(c)(_)).max
+      val eligible = (0 until nK).filter(model.cats.centers(c)(_) >= best - 0.05)
       if (k == eligible.minBy(model.configs(_).unitCost)) 1.0 else 0.0
     }
     KnobPlan(alpha)

@@ -2,7 +2,6 @@ package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ContentCategories, KnobPlan, KnobSwitcher, SegmentTrace}
-import repro.util.KMeansLocal
 import repro.workload.{ConfigProfile, KnobConfig}
 
 class ClusterSimSpec extends AnyFunSuite {
@@ -111,7 +110,7 @@ class ClusterSimSpec extends AnyFunSuite {
     // At $0 the last resort must stay all-local, and the buffer overflows.
     val quals = Array(0.5, 0.9)
     val t = mkTrace(200, 2.0, Array(8.0, 16.0), quals)
-    val sw = new KnobSwitcher(ContentCategories(KMeansLocal.Model(Array(quals.clone())), 0),
+    val sw = new KnobSwitcher(ContentCategories(Array(quals.clone()), 0),
                               Array(quals), Placement.grid)
     sw.setPlan(KnobPlan(Array(Array(1.0, 0.0))))
     val ctrl = new Controller {
