@@ -201,6 +201,28 @@ class SkyscraperSpec extends SparkSpec {
     }.toMap
     assert(got == pinned)
   }
+
+  test("the four §5.4 ablation variants reproduce the pinned digests") {
+    // COVID and MOT at 4+2 days, MOSEI at 2+1, on 4 cores with a budget
+    // every cloud variant spends. A change meant to keep every decision must
+    // reproduce these values.
+    val pinned = Map("COVID" -> "bda8cfe717ea078d", "MOT" -> "944cba4a1f358bb7",
+                     "MOSEI-HIGH" -> "aa519969833b5f0b", "MOSEI-LONG" -> "f4787379994dcacd")
+    val got = Seq[(Workload, Int, Int)]((Covid, 4, 2), (Mot, 4, 2), (MoseiHigh, 2, 1),
+                                        (MoseiLong, 2, 1)).map { case (w, trainDays, testDays) =>
+      val (m, _, te) = Skyscraper.fitAndTrace(w, SkyscraperSpec.digestHyper, trainDays, testDays)
+      val d = new SkyscraperSpec.Digest
+      for ((buf, cloud) <- Seq((false, false), (true, false), (false, true), (true, true))) {
+        val r = Skyscraper.run(m, te, 4, 4e9, 20.0, useBuffer = buf, useCloud = cloud)
+        assert((r.cloudDollars > 0) == cloud, s"${w.name} buffer=$buf cloud=$cloud")
+        d.doubles(Array(r.totalQuality, r.qualityPct, r.cloudDollars, r.workCoreSec))
+        d.long(r.overflows.toLong)
+        d.ints(r.chosen)
+      }
+      w.name -> d.hex
+    }.toMap
+    assert(got == pinned)
+  }
 }
 
 object SkyscraperSpec {
