@@ -22,7 +22,6 @@ object ChameleonStar {
   final class ChameleonController(trace: SegmentTrace, start: Int, profileEverySegs: Int,
                                   cores: Int) extends Controller {
     private var current = start
-    var profilingWork = 0.0
 
     def choose(probe: Probe, segIdx: Int): Decision = {
       if (segIdx % profileEverySegs == 0 && segIdx > 0) {
@@ -35,7 +34,6 @@ object ChameleonStar {
         val deadline = 2.0 * cores * trace.segSec
         val admissible = (0 until trace.nConfigs).filter(trace.cost(p, _) <= deadline)
         val extra = (0 until trace.nConfigs).map(trace.cost(p, _)).sum
-        profilingWork += extra
         val quals = admissible.map(trace.qual(p, _))
         val best  = quals.max
         current = admissible

@@ -69,7 +69,7 @@ object ContentCategories {
     }
     val spreads = (0 until k).map(spread)
     val threshold = spreads.max * 0.25
-    (0 until k).find(spreads(_) >= threshold).getOrElse(spreads.indices.maxBy(spreads))
+    spreads.indexWhere(_ >= threshold)
   }
 
   /** Assign every segment of `trace` a category the way the offline phase

@@ -173,8 +173,11 @@ object Skyscraper {
     meanByCategory((i: Int, k: Int) => matrix(i)(k), catOf, nCats, trace)
 
   /** The online controller: periodic predictive planning + reactive
-    * switching (paper §4). `useBuffer=false` / `useCloud=false` implement
-    * the §5.4 ablation variants.
+    * switching (paper §4). Without a cloud budget it offers the switcher
+    * only the all-local placement, since no offload would be feasible.
+    *
+    * @param useCloud unused; it stays only because `perfbench/` passes it
+    *                 (ROADMAP item 1 deletes it)
     */
   final class OnlineController(model: SkyscraperModel, cores: Int, nSegs: Int,
                                cloudBudget: Double, cloudPricePerCoreSec: Double,
@@ -183,7 +186,7 @@ object Skyscraper {
     private val horizonSegs =
       math.max(1, (model.hyper.forecast.horizonDays * 86400.0 / segSec).toInt)
     private val placements =
-      if (useCloud) Placement.grid else Vector(Placement(0.0))
+      if (cloudBudget > 0) Placement.grid else Vector(Placement(0.0))
     val switcher = new KnobSwitcher(model.cats, model.qualHat, placements)
     // The category history the forecaster reads: the training categories,
     // then one observed category per segment, in history(0 until nHistory).
@@ -207,14 +210,8 @@ object Skyscraper {
       // Ration the remaining cloud credits over the remaining intervals.
       val segsLeft = math.max(1, nSegs - segIdx)
       val intervalSegs = math.min(horizonSegs, segsLeft)
-      val cloudThisInterval =
-        if (useCloud && cloudBudget > 0)
-          math.max(0.0, probe.cloudRemaining) * intervalSegs / segsLeft
-        else 0.0
-      val cloudCoreSecPerSeg =
-        if (cloudThisInterval > 0)
-          cloudThisInterval / cloudPricePerCoreSec / intervalSegs
-        else 0.0
+      val cloudThisInterval = math.max(0.0, probe.cloudRemaining) * intervalSegs / segsLeft
+      val cloudCoreSecPerSeg = cloudThisInterval / cloudPricePerCoreSec / intervalSegs
       val budgetPerSeg = cores * segSec + cloudCoreSecPerSeg
       val plan = KnobPlanner.plan(model.qualHat, model.costHat, r, budgetPerSeg)
       switcher.setPlan(plan)
@@ -226,23 +223,19 @@ object Skyscraper {
   @deprecated("read model.qualHat", "0.1.0")
   def qualHat(model: SkyscraperModel): Array[Array[Double]] = model.qualHat
 
-  /** Simulate Skyscraper ingesting `test` on `cores` with the given buffer
-    * and cloud budget. `useBuffer=false` shrinks the buffer to one segment
-    * (variant 1c "only cloud"); `useCloud=false` zeroes the cloud
-    * (variant 1b "only buffering"); both false reproduce variant 1a.
+  /** Simulate Skyscraper ingesting `test` on `cores` with a buffer of
+    * `bufferBytes` and a cloud budget of `cloudBudget` $. The §5.4 ablation
+    * variants are these two inputs (`Experiments.ablation`): a two-segment
+    * buffer turns buffering off and a zero budget turns cloud bursting off.
     */
-  def run(model: SkyscraperModel, test: SegmentTrace, cores: Int,
-          bufferBytes: Double = 4e9, cloudBudget: Double = 0.0,
-          cloudRatio: Double = Machines.cloudRatio,
-          useBuffer: Boolean = true, useCloud: Boolean = true): RunResult = {
+  def run(model: SkyscraperModel, test: SegmentTrace, cores: Int, bufferBytes: Double,
+          cloudBudget: Double = 0.0, cloudRatio: Double = Machines.cloudRatio): RunResult = {
     val w = model.workload
     val price = Machines.cloudPerCoreSec(cloudRatio)
-    val effBuffer = if (useBuffer) bufferBytes
-                    else w.bitrateBytesPerSec * w.segSec * 2 // ≈ no slack
-    val effCloud  = if (useCloud) cloudBudget else 0.0
-    val sim = new ClusterSim(test, cores, effBuffer, effCloud, price,
+    val sim = new ClusterSim(test, cores, bufferBytes, cloudBudget, price,
       w.bitrateBytesPerSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
-    val ctrl = new OnlineController(model, cores, test.nSegments, effCloud, price, useCloud)
+    val ctrl = new OnlineController(model, cores, test.nSegments, cloudBudget, price,
+                                    useCloud = cloudBudget > 0)
     sim.run(ctrl)
   }
 }

@@ -34,6 +34,9 @@ object Experiments {
   /** Buffer size used throughout the paper's experiments. */
   val BufferBytes: Double = 4e9
 
+  /** The §5.4 "no buffering" buffer: two segments of `w`'s video. */
+  def noBufferBytes(w: Workload): Double = w.bitrateBytesPerSec * w.segSec * 2
+
   private val cache = scala.collection.concurrent.TrieMap
     .empty[String, (SkyscraperModel, SegmentTrace, SegmentTrace)]
 
@@ -167,13 +170,12 @@ object Experiments {
     val onPrem = onPremDollars(Machines.catalogue.find(_.vCpus == vCpus).get, testDaysFor(w))
     val budget = 0.25 * onPrem
     val variants = Seq(
-      ("no buffering, no cloud", false, false),
-      ("only buffering", true, false),
-      ("only cloud", false, true),
-      ("buffering & cloud", true, true))
-    variants.map { case (name, buf, cloud) =>
-      val r = Skyscraper.run(model, test, vCpus, BufferBytes, budget,
-                             cloudRatio = cloudRatio, useBuffer = buf, useCloud = cloud)
+      ("no buffering, no cloud", noBufferBytes(w), 0.0),
+      ("only buffering", BufferBytes, 0.0),
+      ("only cloud", noBufferBytes(w), budget),
+      ("buffering & cloud", BufferBytes, budget))
+    variants.map { case (name, buffer, cloud) =>
+      val r = Skyscraper.run(model, test, vCpus, buffer, cloud, cloudRatio)
       AblRow(w.name, vCpus, name, r.qualityPct, r.cloudDollars, r.workCoreSec)
     }
   }

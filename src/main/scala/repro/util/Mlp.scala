@@ -71,42 +71,44 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
     -s
   }
 
-  /** Forward pass → softmax output (a probability histogram). */
-  def predict(input: Array[Double]): Array[Double] = {
-    var a = input
+  /** Every layer's activations for `input`: `acts(0)` is the input, each
+    * hidden layer's is its ReLU output and the last is the softmax output.
+    */
+  private def forward(input: Array[Double]): Array[Array[Double]] = {
+    val nL = weights.length
+    val acts = Array.ofDim[Array[Double]](nL + 1)
+    acts(0) = input
     var l = 0
-    while (l < weights.length - 1) { a = relu(affine(l, a)); l += 1 }
-    softmax(affine(weights.length - 1, a))
+    while (l < nL) {
+      val z = affine(l, acts(l))
+      acts(l + 1) = if (l == nL - 1) softmax(z) else relu(z)
+      l += 1
+    }
+    acts
   }
 
+  /** Forward pass → softmax output (a probability histogram). */
+  def predict(input: Array[Double]): Array[Double] = forward(input).last
+
   /** Cross-entropy of one example (soft target). */
-  def loss(input: Array[Double], target: Array[Double]): Double = {
+  def loss(input: Array[Double], target: Array[Double]): Double =
     crossEntropy(target, predict(input))
-  }
 
   /** One SGD step on a single example; returns the example's loss. */
   def step(input: Array[Double], target: Array[Double], lr: Double): Double = {
     val nL = weights.length
-    // Forward, caching activations.
-    val acts = Array.ofDim[Array[Double]](nL + 1) // acts(0)=input … acts(nL)=output
-    acts(0) = input
-    val pre = Array.ofDim[Array[Double]](nL)
-    var l = 0
-    while (l < nL) {
-      pre(l) = affine(l, acts(l))
-      acts(l + 1) = if (l == nL - 1) softmax(pre(l)) else relu(pre(l))
-      l += 1
-    }
+    val acts = forward(input) // acts(0)=input … acts(nL)=output
     val lossVal = crossEntropy(target, acts(nL))
 
     // Backward. delta = dLoss/dPre(l).
     var delta = new Array[Double](math.min(acts(nL).length, target.length))
     var o = 0
     while (o < delta.length) { delta(o) = acts(nL)(o) - target(o); o += 1 }
-    l = nL - 1
+    var l = nL - 1
     while (l >= 0) {
       val aPrev = acts(l)
-      // Propagate through the PRE-update weights first (true gradient).
+      // Propagate through the PRE-update weights first (true gradient), masked
+      // by the ReLU: relu(z) > 0 iff z > 0, so aPrev gives the mask.
       val next: Array[Double] =
         if (l > 0) {
           val nx = Array.ofDim[Double](aPrev.length)
@@ -115,7 +117,7 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
             var s = 0.0
             var i2 = 0
             while (i2 < delta.length) { s += weights(l)(i2)(j) * delta(i2); i2 += 1 }
-            nx(j) = if (pre(l - 1)(j) > 0) s else 0.0
+            nx(j) = if (aPrev(j) > 0) s else 0.0
             j += 1
           }
           nx
@@ -157,12 +159,8 @@ final class Mlp(val layerSizes: Array[Int], seed: Long = 42) {
         bestB = biases.map(_.clone())
       }
     }
-    if (bestW != null) {
-      for (l <- weights.indices) {
-        for (i <- weights(l).indices) Array.copy(bestW(l)(i), 0, weights(l)(i), 0, weights(l)(i).length)
-        Array.copy(bestB(l), 0, biases(l), 0, biases(l).length)
-      }
-    }
+    if (bestW != null)
+      for (l <- weights.indices) { weights(l) = bestW(l); biases(l) = bestB(l) }
     bestVal
   }
 }

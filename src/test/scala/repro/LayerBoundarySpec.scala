@@ -39,4 +39,13 @@ class LayerBoundarySpec extends AnyFunSuite {
     // The scan sees Spark where it is used.
     assert(usesSpark(new File(repro, "etl/VetlPipeline.scala")))
   }
+
+  test("in core, workload and video only the four known files import Spark") {
+    // ROADMAP item 10 moves these four off Spark; a fifth must not join them.
+    val known = Set("core/Skyscraper.scala", "core/QualityMatrix.scala",
+                    "workload/Workload.scala", "video/VideoSynth.scala")
+    val files = Seq("core", "workload", "video").flatMap(p => sources(new File(repro, p)))
+    val users = files.filter(usesSpark).map(_.getPath.stripPrefix(repro.getPath + "/")).toSet
+    assert(users == known, s"Spark imported by ${users -- known}; no longer by ${known -- users}")
+  }
 }

@@ -77,6 +77,16 @@ class ContentCategoriesSpec extends AnyFunSuite {
     assert(vals.last - vals.head > 0.05)
   }
 
+  test("the discriminator is the first dimension spread enough, even a later one") {
+    // Only dimension 2 separates the centers.
+    assert(ContentCategories.discriminatorDim(
+      Array(Array(0.5, 0.2, 0.0), Array(0.5, 0.2, 1.0))) == 2)
+    // Dimension 1 is the first whose spread (0.3) reaches a quarter of the
+    // largest (dimension 2's, 1.0).
+    assert(ContentCategories.discriminatorDim(
+      Array(Array(0.5, 0.0, 0.0), Array(0.5, 0.3, 1.0), Array(0.5, 0.6, 2.0))) == 1)
+  }
+
   test("assignments cover multiple categories") {
     val online = ContentCategories.assignOnline(cats, trace)
     assert(online.distinct.length >= 2)

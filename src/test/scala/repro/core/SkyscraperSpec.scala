@@ -4,6 +4,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkList
 import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
+import repro.exp.Experiments
 import repro.workload.{Covid, MoseiHigh, MoseiLong, Mot, Workload}
 
 /** End-to-end integration: offline fit + simulated online ingestion on a
@@ -21,10 +22,10 @@ class SkyscraperSpec extends SparkSpec {
   private lazy val (model, train, test) =
     Skyscraper.fitAndTrace(Covid, hyper, trainDays = 2, testDays = 1)
 
-  private def run(cores: Int, cloud: Double = 0.0, useBuffer: Boolean = true,
-                  useCloud: Boolean = true) =
-    Skyscraper.run(model, test, cores, bufferBytes = 4e9, cloudBudget = cloud,
-                   useBuffer = useBuffer, useCloud = useCloud)
+  private def run(cores: Int, cloud: Double = 0.0, buffer: Double = 4e9) =
+    Skyscraper.run(model, test, cores, bufferBytes = buffer, cloudBudget = cloud)
+
+  private lazy val noBuffer = Experiments.noBufferBytes(Covid)
 
   test("offline phase produces a usable model") {
     assert(model.configs.size >= 3 && model.configs.size <= 14)
@@ -100,9 +101,9 @@ class SkyscraperSpec extends SparkSpec {
 
   test("ablation variants stay within the full system's quality") {
     val full       = run(4, cloud = 2.0)
-    val onlyBuffer = run(4, cloud = 2.0, useCloud = false)
-    val onlyCloud  = run(4, cloud = 2.0, useBuffer = false)
-    val neither    = run(4, cloud = 2.0, useBuffer = false, useCloud = false)
+    val onlyBuffer = run(4, cloud = 0.0)
+    val onlyCloud  = run(4, cloud = 2.0, buffer = noBuffer)
+    val neither    = run(4, cloud = 0.0, buffer = noBuffer)
     for ((r, name) <- Seq((onlyBuffer, "buffer"), (onlyCloud, "cloud"), (neither, "none")))
       assert(r.qualityPct <= full.qualityPct + 0.03, s"$name=${r.qualityPct} full=${full.qualityPct}")
     assert(neither.qualityPct <= onlyBuffer.qualityPct + 0.03)
@@ -110,7 +111,7 @@ class SkyscraperSpec extends SparkSpec {
   }
 
   test("variant without buffer and cloud degenerates toward best static") {
-    val neither = run(4, useBuffer = false, useCloud = false)
+    val neither = run(4, cloud = 0.0, buffer = noBuffer)
     val st = StaticBaseline.run(train, test, 4, 4e9, Covid)
     assert(neither.qualityPct >= st.qualityPct - 0.10,
       s"neither=${neither.qualityPct} static=${st.qualityPct}")
@@ -212,9 +213,10 @@ class SkyscraperSpec extends SparkSpec {
                                         (MoseiLong, 2, 1)).map { case (w, trainDays, testDays) =>
       val (m, _, te) = Skyscraper.fitAndTrace(w, SkyscraperSpec.digestHyper, trainDays, testDays)
       val d = new SkyscraperSpec.Digest
-      for ((buf, cloud) <- Seq((false, false), (true, false), (false, true), (true, true))) {
-        val r = Skyscraper.run(m, te, 4, 4e9, 20.0, useBuffer = buf, useCloud = cloud)
-        assert((r.cloudDollars > 0) == cloud, s"${w.name} buffer=$buf cloud=$cloud")
+      val noBuffer = Experiments.noBufferBytes(w)
+      for ((buffer, cloud) <- Seq((noBuffer, 0.0), (4e9, 0.0), (noBuffer, 20.0), (4e9, 20.0))) {
+        val r = Skyscraper.run(m, te, 4, buffer, cloud)
+        assert((r.cloudDollars > 0) == (cloud > 0), s"${w.name} buffer=$buffer cloud=$cloud")
         d.doubles(Array(r.totalQuality, r.qualityPct, r.cloudDollars, r.workCoreSec))
         d.long(r.overflows.toLong)
         d.ints(r.chosen)
@@ -304,7 +306,7 @@ object SkyscraperSpec {
     for (budget <- Seq(0.01, 4 * train.segSec, 16 * train.segSec, 60 * train.segSec))
       KnobPlanner.plan(m.qualHat, m.costHat, r, budget).alpha.foreach(d.doubles)
     for (cores <- Seq(4, 16)) {
-      val res = Skyscraper.run(m, test, cores, cloudBudget = 1.0)
+      val res = Skyscraper.run(m, test, cores, Experiments.BufferBytes, cloudBudget = 1.0)
       d.doubles(Array(res.totalQuality, res.qualityPct, res.cloudDollars))
       d.ints(res.chosen)
     }
