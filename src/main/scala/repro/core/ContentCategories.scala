@@ -50,6 +50,8 @@ object ContentCategories {
     val n = trace.nSegments
     val stride = math.max(1, (1.0 / math.max(sampleFrac, 1e-6)).toInt)
     val offset = Math.floorMod(seed, stride.toLong).toInt
+    require(offset < n, s"ContentCategories.fit: a trace of $n segments has no segment to " +
+      s"sample at offset $offset with stride $stride")
     val sample = (offset until n by stride).map(trace.reportRow).toVector
     val centers = KMeansLocal.fit(sample, nCategories)
     ContentCategories(centers, discriminatorDim(centers))
@@ -77,10 +79,18 @@ object ContentCategories {
     */
   def assignOnline(cats: ContentCategories, trace: SegmentTrace): Array[Int] = {
     val dim = cats.discriminatorDim
-    Array.tabulate(trace.nSegments)(i => cats.classifyOnline(dim, trace.report(i, dim)))
+    assign(trace)(i => cats.classifyOnline(dim, trace.report(i, dim)))
   }
 
   /** Ground-truth assignment from full quality vectors (evaluation only). */
   def assignFull(cats: ContentCategories, trace: SegmentTrace): Array[Int] =
-    Array.tabulate(trace.nSegments)(i => cats.classifyFull(trace.reportRow(i)))
+    assign(trace)(i => cats.classifyFull(trace.reportRow(i)))
+
+  // An index loop: a generic Array.tabulate would box each category.
+  private def assign(trace: SegmentTrace)(category: Int => Int): Array[Int] = {
+    val cats = new Array[Int](trace.nSegments)
+    var i = 0
+    while (i < cats.length) { cats(i) = category(i); i += 1 }
+    cats
+  }
 }

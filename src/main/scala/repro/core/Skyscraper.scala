@@ -103,9 +103,8 @@ object Skyscraper {
     val cats = clock(Categories)(ContentCategories.fit(seen, hyper.nCategories,
                                                        hyper.categorySampleFrac, hyper.seed))
     val trainCats = clock(TrainingData)(ContentCategories.assignOnline(cats, seen))
-    val (costHat, qualHat) = clock(Categories)((
-      meanByCategory(train.cost(_, _), trainCats, cats.n, train),
-      meanByCategory(seen.qual(_, _), trainCats, cats.n, train)))
+    val Array(costHat, qualHat) = clock(Categories)(
+      meansByCategory(Array(train.cost(_, _), seen.qual(_, _)), trainCats, cats.n, seen))
     val forecaster = clock(TrainForecast) {
       val f = new Forecaster(hyper.forecast, cats.n, train.segSec, hyper.seed)
       f.fit(trainCats)
@@ -149,28 +148,43 @@ object Skyscraper {
     * channel).
     */
   def meanByCategory(cell: (Int, Int) => Double, catOf: Array[Int], nCats: Int,
-                     trace: SegmentTrace): Array[Array[Double]] = {
-    val (n, nK) = (trace.nSegments, trace.nConfigs)
-    val sums   = Array.ofDim[Double](nCats, nK)
-    val counts = Array.ofDim[Double](nCats)
-    var i = 0
-    while (i < n) {
-      val c = catOf(i)
-      var k = 0
-      while (k < nK) { sums(c)(k) += cell(i, k); k += 1 }
-      counts(c) += 1
-      i += 1
-    }
-    Array.tabulate(nCats, nK) { (c, k) =>
-      if (counts(c) > 0) sums(c)(k) / counts(c)
-      else Iterator.range(0, n).map(cell(_, k)).sum / n
-    }
-  }
+                     trace: SegmentTrace): Array[Array[Double]] =
+    meansByCategory(Array(cell), catOf, nCats, trace)(0)
 
   /** The same means over the rows of `matrix`. */
   def meanByCategory(matrix: Array[Array[Double]], catOf: Array[Int], nCats: Int,
                      trace: SegmentTrace): Array[Array[Double]] =
     meanByCategory((i: Int, k: Int) => matrix(i)(k), catOf, nCats, trace)
+
+  /** `meanByCategory` of each channel in `cells`, all summed in one pass over
+    * the segments: each (category, config) sum adds its cells in segment
+    * order. A category no segment falls in gets the channel's mean over all
+    * segments.
+    */
+  private[core] def meansByCategory(cells: Array[(Int, Int) => Double], catOf: Array[Int],
+                                    nCats: Int, trace: SegmentTrace): Array[Array[Array[Double]]] = {
+    val (n, nK) = (trace.nSegments, trace.nConfigs)
+    val sums   = Array.ofDim[Double](cells.length, nCats, nK)
+    val counts = new Array[Int](nCats)
+    var i = 0
+    while (i < n) {
+      val c = catOf(i)
+      var ch = 0
+      while (ch < cells.length) {
+        val cell = cells(ch)
+        val sum  = sums(ch)(c)
+        var k = 0
+        while (k < nK) { sum(k) += cell(i, k); k += 1 }
+        ch += 1
+      }
+      counts(c) += 1
+      i += 1
+    }
+    for (ch <- cells.indices; c <- 0 until nCats; k <- 0 until nK)
+      sums(ch)(c)(k) = if (counts(c) > 0) sums(ch)(c)(k) / counts(c)
+                       else Iterator.range(0, n).map(cells(ch)(_, k)).sum / n
+    sums
+  }
 
   /** The online controller: periodic predictive planning + reactive
     * switching (paper §4). Without a cloud budget it offers the switcher

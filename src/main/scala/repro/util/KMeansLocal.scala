@@ -1,7 +1,6 @@
 package repro.util
 
-/** Deterministic Lloyd's KMeans with farthest-point ("kmeans++-style",
-  * deterministic variant) seeding.
+/** Lloyd's KMeans with deterministic farthest-point seeding in O(n·k·dim).
   *
   * Skyscraper clusters |K|-dimensional quality vectors — at most a few
   * thousand points of dimension ≤ 10 — so a driver-local implementation is
@@ -34,6 +33,35 @@ object KMeansLocal {
   /** Lloyd iterations stop after this many rounds if assignments still change. */
   private final val MaxIter = 100
 
+  /** `kEff` seeds (copies): the point nearest the centroid, then each time
+    * the point farthest from its nearest seed, kept in `nearestD`; a tie goes
+    * to the lowest index.
+    */
+  private def seeds(pts: Array[Array[Double]], kEff: Int): Array[Array[Double]] = {
+    val (n, dim) = (pts.length, pts(0).length)
+    val mean = new Array[Double](dim)
+    var i = 0
+    while (i < n) {
+      var j = 0
+      while (j < dim) { mean(j) += pts(i)(j) / n; j += 1 }
+      i += 1
+    }
+    val seeds = new Array[Array[Double]](kEff)
+    seeds(0) = pts(nearest(pts, mean)).clone()
+    val nearestD = Array.fill(n)(Double.PositiveInfinity)
+    for (s <- 1 until kEff) {
+      var far = 0
+      i = 0
+      while (i < n) {
+        nearestD(i) = math.min(nearestD(i), sqDist(seeds(s - 1), pts(i)))
+        if (nearestD(i) > nearestD(far)) far = i
+        i += 1
+      }
+      seeds(s) = pts(far).clone()
+    }
+    seeds
+  }
+
   /** Fit `k` clusters on `points`; deterministic in (points, k). Returns
     * the centers, at most `k` (no more than there are points).
     */
@@ -43,15 +71,8 @@ object KMeansLocal {
     val pts  = points.toArray
     val kEff = math.min(k, pts.length)
 
-    // Farthest-point seeding from the point closest to the centroid.
     val dim = pts(0).length
-    val mean = Array.ofDim[Double](dim)
-    pts.foreach(p => (0 until dim).foreach(i => mean(i) += p(i) / pts.length))
-    val seeds = scala.collection.mutable.ArrayBuffer[Array[Double]]()
-    seeds += pts.minBy(sqDist(_, mean)).clone()
-    while (seeds.length < kEff)
-      seeds += pts.maxBy(p => seeds.map(sqDist(_, p)).min).clone()
-    val centers = seeds.toArray
+    val centers = seeds(pts, kEff)
 
     val assign = Array.ofDim[Int](pts.length)
     var changed = true

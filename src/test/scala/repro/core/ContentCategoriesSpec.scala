@@ -97,4 +97,21 @@ class ContentCategoriesSpec extends AnyFunSuite {
     val b = ContentCategories.fit(trace, 3).centers.map(_.toList).toList
     assert(a == b)
   }
+
+  test("a trace with no segment at the sample offset fails early, naming why") {
+    // sampleFrac 0.05 is a stride of 20; seed 7 samples segments 7, 27, …
+    val e = intercept[IllegalArgumentException](
+      ContentCategories.fit(trace.slice(0, 7), nCategories = 3, sampleFrac = 0.05, seed = 7))
+    for (part <- Seq("7 segments", "offset 7", "stride 20"))
+      assert(e.getMessage.contains(part), e.getMessage)
+    assert(ContentCategories.fit(trace.slice(0, 8), nCategories = 3, sampleFrac = 0.05, seed = 7).n == 1)
+  }
+
+  test("assignOnline and assignFull classify each segment in order") {
+    val dim = cats.discriminatorDim
+    assert(ContentCategories.assignOnline(cats, trace).toSeq ==
+      (0 until trace.nSegments).map(i => cats.classifyOnline(dim, trace.report(i, dim))))
+    assert(ContentCategories.assignFull(cats, trace).toSeq ==
+      (0 until trace.nSegments).map(i => cats.classifyFull(trace.reportRow(i))))
+  }
 }

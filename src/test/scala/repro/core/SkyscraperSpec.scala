@@ -117,6 +117,29 @@ class SkyscraperSpec extends SparkSpec {
       s"neither=${neither.qualityPct} static=${st.qualityPct}")
   }
 
+  test("the fit's one-pass ĉ/q̂ equal meanByCategory on each channel bit for bit") {
+    import SkyscraperSpec.{bits, referenceMean}
+    // A hand-built trace whose assignment leaves category 1 empty (the
+    // channel's mean over all segments fills it), and a law trace slice.
+    val hand = SegmentTrace(train.segSec, Array.fill(6)(0), Array.tabulate(6)(0.1 * _),
+      Array.fill(6)(1.0), model.configs.take(3), Array.tabulate(6)(0.5 + 0.07 * _),
+      Array.tabulate(18)(j => (j * 37 % 11) / 11.0), Array.tabulate(6, 3)((i, k) => 0.3 * i + k + 0.1))
+    val slice = train.slice(1000, 3000)
+    for ((t, catOf, nCats) <- Seq((hand, Array(0, 2, 0, 2, 2, 0), 3),
+                                  (slice, ContentCategories.assignOnline(model.cats, slice), model.cats.n))) {
+      val channels = Seq[(Int, Int) => Double](t.cost(_, _), t.qual(_, _))
+      val onePass = Skyscraper.meansByCategory(channels.toArray, catOf, nCats, t)
+      for ((cell, got) <- channels.zip(onePass)) {
+        assert(bits(got) == bits(Skyscraper.meanByCategory(cell, catOf, nCats, t)))
+        assert(bits(got) == bits(referenceMean(cell, catOf, nCats, t.nSegments, t.nConfigs)))
+      }
+    }
+    assert(bits(model.costHat) ==
+      bits(Skyscraper.meanByCategory(train.cost(_, _), model.trainCats, model.cats.n, train)))
+    assert(bits(model.qualHat) ==
+      bits(Skyscraper.meanByCategory(train.qual(_, _), model.trainCats, model.cats.n, train)))
+  }
+
   test("switcher chooses multiple configurations (content adaptivity)") {
     val r = run(4)
     assert(r.chosen.distinct.length >= 2)
@@ -271,6 +294,26 @@ object SkyscraperSpec {
     val all = starts.toArray(Array.empty[(Int, Boolean)]).toSeq
     val Seq(before, after) = all.filter(_._2).map(_._1).sorted
     all.count { case (id, isMarker) => !isMarker && id > before && id < after }
+  }
+
+  def bits(m: Array[Array[Double]]): Seq[Seq[Long]] =
+    m.map(_.map(java.lang.Double.doubleToLongBits).toSeq).toSeq
+
+  /** Per-category column means as the fit first computed them: one pass per
+    * channel, and an empty category's mean summed again per category.
+    */
+  def referenceMean(cell: (Int, Int) => Double, catOf: Array[Int], nCats: Int, n: Int,
+                    nK: Int): Array[Array[Double]] = {
+    val sums   = Array.ofDim[Double](nCats, nK)
+    val counts = Array.ofDim[Double](nCats)
+    for (i <- 0 until n) {
+      for (k <- 0 until nK) sums(catOf(i))(k) += cell(i, k)
+      counts(catOf(i)) += 1
+    }
+    Array.tabulate(nCats, nK) { (c, k) =>
+      if (counts(c) > 0) sums(c)(k) / counts(c)
+      else Iterator.range(0, n).map(cell(_, k)).sum / n
+    }
   }
 
   /** Order-sensitive 64-bit digest of the bits of every value fed to it. */
